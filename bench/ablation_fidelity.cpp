@@ -18,7 +18,11 @@
 //      each knob visibly moves the system;
 //   2. the legacy golden decision-log hash still matches (the fidelity
 //      layer is opt-in: with the knobs off, byte-identical decisions);
-//   3. a SimCheck mini-campaign over the new regimes is invariant-clean.
+//   3. a SimCheck mini-campaign over the new regimes is invariant-clean;
+//   4. the report is sane: one leg per regime at least, each leg started
+//      and completed work and harvested something, efficiency and
+//      cold-start rate are shares, p50 <= p95, and TRES harvests more
+//      node-seconds than legacy.
 //
 //   HW_BENCH_QUICK=1     64 nodes, short window (CI smoke)
 //   HW_SEED=<n>          base RNG seed (default 1)
@@ -30,6 +34,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -253,8 +258,25 @@ int main() {
       campaign_opts, check::InvariantSuite::standard(), campaign_log);
   const bool simcheck_clean = campaign.ok();
 
-  const bool acceptance_ok =
-      harvest_diverges && p95_diverges && golden_ok && simcheck_clean;
+  // Acceptance 4: the report itself is sane.
+  std::set<std::string> seen;
+  bool legs_sane = legs.size() >= 4;
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    const LegResult& r = results[i];
+    seen.insert(to_string(legs[i].regime));
+    legs_sane = legs_sane && r.jobs_started > 0 && r.completed > 0 &&
+                r.harvested_node_s > 0.0 && r.harvest_efficiency >= 0.0 &&
+                r.harvest_efficiency <= 1.0 && r.cold_start_rate >= 0.0 &&
+                r.cold_start_rate <= 1.0 && r.p50_ms <= r.p95_ms;
+  }
+  legs_sane = legs_sane && seen == std::set<std::string>{"legacy", "tres",
+                                                         "tres+resv",
+                                                         "tres+resv+qos"};
+  const bool tres_beats_legacy = agg[Regime::kTres].harvested_node_s >
+                                 agg[Regime::kLegacy].harvested_node_s;
+
+  const bool acceptance_ok = harvest_diverges && p95_diverges && golden_ok &&
+                             simcheck_clean && legs_sane && tres_beats_legacy;
 
   std::vector<std::vector<std::string>> rows;
   for (std::size_t i = 0; i < legs.size(); ++i) {
@@ -321,6 +343,9 @@ int main() {
        << ", \"p95_diverges\": " << (p95_diverges ? "true" : "false")
        << ", \"golden_hash_ok\": " << (golden_ok ? "true" : "false")
        << ", \"simcheck_clean\": " << (simcheck_clean ? "true" : "false")
+       << ", \"legs_sane\": " << (legs_sane ? "true" : "false")
+       << ", \"tres_beats_legacy\": "
+       << (tres_beats_legacy ? "true" : "false")
        << ", \"acceptance_ok\": " << (acceptance_ok ? "true" : "false")
        << "}\n}\n";
   json.close();
@@ -329,7 +354,10 @@ int main() {
             << (harvest_diverges ? "diverges" : "DEGENERATE") << ", p95 "
             << (p95_diverges ? "diverges" : "DEGENERATE") << ", golden "
             << (golden_ok ? "intact" : "BROKEN") << ", simcheck "
-            << (simcheck_clean ? "clean" : "VIOLATED") << " -> "
+            << (simcheck_clean ? "clean" : "VIOLATED") << ", report "
+            << (legs_sane ? "sane" : "MALFORMED") << ", tres harvest "
+            << (tres_beats_legacy ? "beats legacy" : "DOES NOT BEAT legacy")
+            << " -> "
             << (acceptance_ok ? "OK" : "VIOLATED") << " (" << out_path
             << ")\n";
   return acceptance_ok ? 0 : 1;

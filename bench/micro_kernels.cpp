@@ -141,13 +141,20 @@ BENCHMARK(BM_event_queue_schedule_pop);
 /// long-limit HPC jobs, a deep pending backlog (beyond backfill_depth)
 /// and a tier-0 pilot queue, so every pass exercises the full scan,
 /// reservation and pilot-placement machinery in steady state.
+///
+/// `tres` switches on per-TRES packing over the same job stream: HPC
+/// jobs then take whole or half nodes and pilots quarter nodes, so the
+/// pass packs partial nodes. The legacy stream draws no extra numbers.
 struct SchedFixture {
   sim::Simulation simulation;
   std::unique_ptr<slurm::Slurmctld> ctld;
 
-  SchedFixture() {
+  explicit SchedFixture(bool tres = false) {
     slurm::Slurmctld::Config cfg;
     cfg.node_count = 2239;
+    cfg.fidelity.tres_mode = tres;
+    if (tres) cfg.fidelity.node_capacity = {8, 32000, 0};
+    const slurm::TresVector half{4, 16000, 0};
     std::vector<slurm::Partition> partitions{
         {.name = "main", .priority_tier = 1},
         {.name = "pilot",
@@ -163,6 +170,7 @@ struct SchedFixture {
       spec.partition = "main";
       spec.num_nodes = static_cast<std::uint32_t>(rng.uniform_int(1, 4));
       spec.time_limit = sim::SimTime::hours(rng.uniform_int(2, 12));
+      if (tres && rng.bernoulli(0.5)) spec.tres_per_node = half;
       ctld->submit(std::move(spec));
     }
     simulation.run_until(sim::SimTime::minutes(10));
@@ -172,6 +180,7 @@ struct SchedFixture {
       spec.partition = "main";
       spec.num_nodes = static_cast<std::uint32_t>(rng.uniform_int(8, 16));
       spec.time_limit = sim::SimTime::hours(rng.uniform_int(1, 6));
+      if (tres && rng.bernoulli(0.5)) spec.tres_per_node = half;
       ctld->submit(std::move(spec));
     }
     // A tier-0 pilot queue competing for the remaining idle nodes.
@@ -180,6 +189,7 @@ struct SchedFixture {
       spec.partition = "pilot";
       spec.num_nodes = 1;
       spec.time_limit = sim::SimTime::minutes(13);
+      if (tres) spec.tres_per_node = {2, 8000, 0};
       ctld->submit(std::move(spec));
     }
     simulation.run_until(sim::SimTime::minutes(12));
@@ -196,14 +206,15 @@ void BM_slurm_build_availability(benchmark::State& state) {
 }
 BENCHMARK(BM_slurm_build_availability);
 
+/// One scheduling pass; Arg(0) whole-node (legacy), Arg(1) TRES packing.
 void BM_slurm_sched_pass(benchmark::State& state) {
-  SchedFixture fx;
+  SchedFixture fx{state.range(0) != 0};
   for (auto _ : state) {
     fx.ctld->schedule_now();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_slurm_sched_pass);
+BENCHMARK(BM_slurm_sched_pass)->Arg(0)->Arg(1);
 
 void BM_container_pool_warm_path(benchmark::State& state) {
   runtime::ContainerPool::Config cfg;

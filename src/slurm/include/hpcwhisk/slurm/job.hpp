@@ -68,9 +68,10 @@ struct JobSpec {
   /// job manager maps longer pilot lengths to higher priorities.
   std::int64_t priority{0};
 
-  /// Per-node TRES request (TRES mode only). All-zero means "whole
-  /// node": submit() substitutes the configured node capacity, which
-  /// reproduces legacy exclusive allocation for that job.
+  /// Per-node TRES request. All-zero means "whole node": submit()
+  /// substitutes the node capacity, which reproduces exclusive
+  /// allocation for that job. Legacy (non-TRES) clusters give every job
+  /// the whole node whatever it asks for.
   TresVector tres_per_node{};
 
   /// QOS name (fidelity mode). Empty means no QOS: the job's preempt
@@ -101,9 +102,8 @@ struct JobRecord {
   bool preemptible{false};
 
   /// Preemption ordering tier: QOS tier when the job carries a
-  /// registered QOS, else the partition priority tier. Strictly-higher
-  /// tiers may preempt this job (TRES mode); legacy mode keeps its
-  /// binary tier-0-victim rule.
+  /// registered QOS, else the partition priority tier. Jobs of a
+  /// strictly-higher tier may preempt this job if it is preemptible.
   std::int32_t preempt_tier{0};
   /// Queue priority after QOS bonus and fair-share debit. Equals
   /// spec.priority exactly when both knobs are off, so legacy decision

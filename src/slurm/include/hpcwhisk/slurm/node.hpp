@@ -32,15 +32,12 @@ enum class ObservedNodeState : std::uint8_t {
 struct Node {
   NodeId id{0};
   NodeState state{NodeState::kIdle};
-  JobId running_job{0};  ///< valid iff state == kAllocated
-
-  // --- TRES mode only (Config::fidelity.tres_mode). In legacy mode the
-  // vectors stay empty/zero and `running_job` is the single owner; in
-  // TRES mode several jobs can co-reside on partial allocations and
-  // `running_job` mirrors the first entry of `running_jobs` (or 0).
-  TresVector capacity{};   ///< total TRES this node offers
+  /// Total TRES this node offers. Legacy (whole-node) mode gives every
+  /// node one indivisible unit and every job requests all of it, so at
+  /// most one job runs on a node there.
+  TresVector capacity{};
   TresVector allocated{};  ///< Σ per-node TRES of running/completing jobs
-  std::vector<JobId> running_jobs{};
+  std::vector<JobId> running_jobs{};  ///< jobs holding part of this node
 };
 
 }  // namespace hpcwhisk::slurm

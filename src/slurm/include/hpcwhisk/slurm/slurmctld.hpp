@@ -136,9 +136,9 @@ class Slurmctld {
     /// default-off; with the defaults the scheduler's decision log is
     /// byte-identical to the pre-fidelity golden hashes.
     struct Fidelity {
-      /// Per-TRES packing: nodes carry a TresVector capacity, jobs a
-      /// per-node request, and several jobs (prime HPC work + pilots)
-      /// can share one node. Switches scheduling to the TRES pass.
+      /// Per-TRES packing: nodes carry `node_capacity`, jobs a per-node
+      /// request, and several jobs (prime HPC work + pilots) can share
+      /// one node. Off, every job takes its nodes whole.
       bool tres_mode{false};
       /// Capacity of every node (required non-zero when tres_mode).
       TresVector node_capacity{};
@@ -227,9 +227,9 @@ class Slurmctld {
   // --- Fidelity introspection (all cheap; meaningful in TRES mode) -------
 
   [[nodiscard]] bool tres_mode() const { return tres_on_; }
-  /// Declared capacity of `id` (zero vector in legacy mode).
+  /// Declared capacity of `id` (one cpu, the whole node, in legacy mode).
   [[nodiscard]] const TresVector& node_capacity(NodeId id) const;
-  /// Currently unallocated TRES on `id` (zero vector in legacy mode).
+  /// Currently unallocated TRES on `id`.
   [[nodiscard]] TresVector node_free(NodeId id) const;
   /// Cluster-wide TRES occupancy split by observed role.
   struct TresTotals {
@@ -273,11 +273,10 @@ class Slurmctld {
   void schedule_now();
 
   /// Availability timeline: for every node, when the scheduler expects it
-  /// to be free (now for idle; expected_end for HPC jobs; `now` for nodes
-  /// held only by preemptible lower-tier jobs when scheduling tier >= 1).
+  /// to be free (now for idle; the last resident's expected end for busy
+  /// nodes; `now` for nodes held only by jobs preemptable by `tier`).
   struct Availability {
-    std::vector<sim::SimTime> free_at;       // per node, for HPC planning
-    std::vector<sim::SimTime> pilot_free_at; // per node, incl. pilots
+    std::vector<sim::SimTime> free_at;  // per node, for HPC planning
   };
   /// Rebuilds and returns the availability timeline for `tier`. Exposed
   /// for micro-benchmarks and tooling; scheduling passes reuse internal
@@ -299,10 +298,15 @@ class Slurmctld {
   void remove_pending(std::int32_t tier, JobId id);
 
   /// Node lists cached for the duration of one scheduling pass; updated
-  /// in place as the pass launches jobs and claims nodes.
+  /// in place as the pass launches jobs and claims nodes. Both hold only
+  /// in-service, unclaimed nodes.
   struct PassCache {
-    std::vector<NodeId> idle;        ///< idle, unclaimed
-    std::vector<NodeId> pilot_held;  ///< running a preemptible tier-0 job
+    /// Nodes with free TRES, best fit first: (free cpus asc, last_freed
+    /// desc, id asc). With whole-node requests these are the idle nodes
+    /// in LIFO reuse order; pilots walk the list backwards (cold first).
+    std::vector<NodeId> open;
+    /// Nodes running at least one preemptible job, in id order.
+    std::vector<NodeId> preemptable;
   };
 
   // Scheduling pipeline.
@@ -313,17 +317,29 @@ class Slurmctld {
   /// advances `out.free_at` in place as its planning timeline, instead
   /// of ever copying or reallocating full per-node vectors.
   void build_availability_into(std::int32_t tier, Availability& out) const;
+  void build_pass_cache(PassCache& cache) const;
+  [[nodiscard]] bool fits_better(NodeId a, NodeId b) const;
 
   /// Attempts to start `rec` now, preempting lower tiers if allowed.
   /// Returns true if the job was launched or is waiting on preempted
-  /// nodes (counted as scheduled either way).
-  bool try_start_hpc(JobRecord& rec, PassCache& cache,
-                     const std::vector<sim::SimTime>& reserved_until);
+  /// victims (counted as scheduled either way).
+  bool try_start(JobRecord& rec, PassCache& cache,
+                 const std::vector<sim::SimTime>& reserved_from);
 
-  /// Pilot placement pass over currently idle nodes.
+  /// Pilot placement over the pass's open nodes, coldest first.
   void place_pilots(PassCache& cache,
                     const std::vector<sim::SimTime>& reserved_from,
                     bool periodic);
+
+  /// Usable time on node `n` from now for a job with partition grace
+  /// `grace`: until the earlier of `reserved_from` (its backfill
+  /// reservation) and the node's next maintenance window minus grace.
+  /// max() when neither binds; negative when a window is too close.
+  [[nodiscard]] sim::SimTime hole(sim::SimTime reserved_from, NodeId n,
+                                  sim::SimTime grace) const;
+  /// Fills, per node, when its next maintenance window opens (max() if
+  /// none).
+  void build_window_starts(std::vector<sim::SimTime>& out) const;
 
   void launch(JobRecord& rec, std::vector<NodeId> nodes,
               sim::SimTime granted_limit);
@@ -347,38 +363,16 @@ class Slurmctld {
     JobId id;
     std::vector<NodeId> nodes;
     sim::SimTime granted_limit;
-    /// Legacy mode: victim *nodes* still to drain (decremented by
-    /// node_freed). TRES mode: victim *jobs* still to end (decremented
-    /// via victim_claims_ in finish_job).
-    std::size_t nodes_missing{0};
+    std::size_t victims_missing{0};  ///< victim jobs still to end
   };
-  void node_freed(NodeId id);
-
-  // --- TRES-mode scheduling pipeline -------------------------------------
-  // A parallel implementation of the pass; the legacy pass body is never
-  // entered when tres_mode is on and vice versa, so the golden decision
-  // logs of legacy configs cannot shift.
-  void run_sched_pass_tres(bool periodic);
-  bool try_start_tres(JobRecord& rec,
-                      const std::vector<sim::SimTime>& res_next_start,
-                      sim::SimTime shadow);
-  /// EASY shadow time for the head blocked job: the earliest instant at
-  /// which `rec`'s full nodes×TRES request fits on the planning
-  /// timeline. max() when beyond the backfill window (unconstrained).
-  [[nodiscard]] sim::SimTime tres_shadow_time(
-      const JobRecord& rec,
-      const std::vector<sim::SimTime>& res_next_start) const;
-  void place_pilots_tres(const std::vector<sim::SimTime>& res_next_start,
-                         bool periodic);
-  /// Fills per-node "next reservation window opens at" (max() if none).
-  void build_reservation_deadlines(std::vector<sim::SimTime>& out) const;
-  [[nodiscard]] bool reservation_allows(
-      const std::vector<sim::SimTime>& res_next_start, NodeId node,
-      sim::SimTime limit_plus_grace) const;
   /// A claimed victim ended: decrement every waiting claimant, launching
-  /// (or, if a reservation closed in, requeueing) those now complete.
-  void victim_ended_tres(JobId victim);
-  void drop_claim_tres(JobId claimant);
+  /// (or, if its nodes are no longer usable, requeueing) those now
+  /// complete.
+  void victim_ended(JobId victim);
+  /// Forgets `claimant`'s pending launch and victim claims.
+  void drop_claim(JobId claimant);
+  /// Requeues whichever claimant is waiting on `node`, if any.
+  void requeue_claimant(NodeId node);
   void reservation_window_begin(std::size_t index);
   void reservation_window_end(std::size_t index);
 
@@ -407,7 +401,12 @@ class Slurmctld {
   std::vector<sim::SimTime> last_freed_;
   /// Nodes marked for maintenance: no new jobs; down when freed.
   std::vector<bool> draining_;
-  std::unordered_map<NodeId, JobId> node_claims_;  // node -> waiting job
+  /// Claimed nodes (node -> waiting claimant): fenced off from every
+  /// other placement until the claimant launches or is requeued.
+  std::unordered_map<NodeId, JobId> node_claims_;
+  /// Victim job -> claimant(s) waiting on it. A multi-node victim can be
+  /// claimed by several claimants at once.
+  std::unordered_multimap<JobId, JobId> victim_claims_;
   std::function<void(const NodeTransition&)> node_observer_;
   std::function<void(const JobEvent&)> job_observer_;
   JobId next_job_id_{1};
@@ -426,16 +425,22 @@ class Slurmctld {
   Availability avail_scratch_;                  ///< per-tier timeline cache
   PassCache pass_cache_;
   std::vector<sim::SimTime> reserved_from_scratch_;
+  /// Per-node next maintenance window, as of the last pass or claim check.
+  std::vector<sim::SimTime> window_from_;
   std::vector<std::pair<sim::SimTime, NodeId>> horizon_scratch_;
   std::vector<QueueEntry> still_pending_scratch_;
   std::vector<NodeId> chosen_scratch_;
-  std::vector<NodeId> victim_scratch_;
-  std::vector<std::size_t> taken_idle_scratch_;
-  std::vector<std::size_t> taken_pilot_scratch_;
-  std::vector<std::size_t> pilot_order_scratch_;
-  std::vector<sim::SimTime> pilot_start_scratch_;
-  std::vector<NodeId> cold_first_scratch_;
-  std::vector<NodeId> unused_nodes_scratch_;
+  std::vector<std::size_t> taken_scratch_;
+  /// Victim candidates of one try_start: a node, its youngest victim's
+  /// start, and its victims as a [first, last) range of victim_pool_.
+  struct VictimNode {
+    sim::SimTime youngest;
+    std::size_t index;  ///< into PassCache::preemptable
+    std::size_t first;
+    std::size_t last;
+  };
+  std::vector<VictimNode> victim_nodes_scratch_;
+  std::vector<JobId> victim_pool_scratch_;
 
   // --- Fidelity state ----------------------------------------------------
   bool tres_on_{false};
@@ -448,13 +453,6 @@ class Slurmctld {
   };
   std::unordered_map<std::string, AccountUsage> usage_;
   std::vector<Reservation> reservations_;
-  /// TRES mode: victim job -> claimant(s) waiting on its TRES. A
-  /// multi-node victim can be claimed by several claimants at once.
-  std::unordered_multimap<JobId, JobId> victim_claims_;
-  /// Pass scratch: per-node next-reservation-start and node candidates.
-  std::vector<sim::SimTime> res_deadline_scratch_;
-  std::vector<std::pair<std::uint64_t, NodeId>> tres_cand_scratch_;
-  std::vector<JobId> victim_jobs_scratch_;
 };
 
 }  // namespace hpcwhisk::slurm

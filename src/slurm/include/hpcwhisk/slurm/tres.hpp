@@ -1,13 +1,14 @@
 #pragma once
-// Trackable resources (Slurm "TRES"): the per-node resource vector used
-// by the opt-in fidelity mode (Slurmctld::Config::fidelity.tres_mode).
+// Trackable resources (Slurm "TRES"): the per-node resource vector the
+// scheduler packs jobs by.
 //
-// In legacy mode a job owns whole nodes and this vector never appears on
-// a scheduling path. In TRES mode every node carries a capacity vector,
-// every job a per-node request, and the scheduler packs jobs onto
-// *partial* nodes — so a node can host prime HPC work and an HPC-Whisk
-// pilot simultaneously (fractional-node harvesting), the way Slurm's
-// cons_tres select plugin allocates cpus/memory/gres independently.
+// Every node carries a capacity vector and every job a per-node request.
+// With the opt-in fidelity mode (Slurmctld::Config::fidelity.tres_mode)
+// requests may be fractions of a node, so a node can host prime HPC work
+// and an HPC-Whisk pilot simultaneously (fractional-node harvesting), the
+// way Slurm's cons_tres select plugin allocates cpus/memory/gres
+// independently. Without it every node is one indivisible unit and every
+// job requests all of it: whole-node exclusive allocation.
 
 #include <cstdint>
 #include <string>

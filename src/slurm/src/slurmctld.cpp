@@ -60,6 +60,11 @@ sim::SimTime floor_to_slot(sim::SimTime t, sim::SimTime slot) {
   if (slot <= sim::SimTime::zero()) return t;
   return slot * (t / slot);
 }
+
+/// Legacy (whole-node) capacity: one indivisible unit per node, which
+/// every job requests in full — exclusive allocation as the
+/// full-capacity case of TRES packing.
+constexpr TresVector kWholeNode{1, 0, 0};
 }  // namespace
 
 Slurmctld::Slurmctld(sim::Simulation& simulation, Config config,
@@ -81,12 +86,12 @@ Slurmctld::Slurmctld(sim::Simulation& simulation, Config config,
   // Fidelity extensions (ROADMAP item 4); everything below is inert with
   // the default-constructed Fidelity block.
   tres_on_ = config_.fidelity.tres_mode;
-  if (tres_on_) {
-    if (config_.fidelity.node_capacity.is_zero())
-      throw std::invalid_argument(
-          "Slurmctld: tres_mode requires a non-zero node_capacity");
-    for (Node& node : nodes_) node.capacity = config_.fidelity.node_capacity;
-  }
+  if (tres_on_ && config_.fidelity.node_capacity.is_zero())
+    throw std::invalid_argument(
+        "Slurmctld: tres_mode requires a non-zero node_capacity");
+  const TresVector capacity =
+      tres_on_ ? config_.fidelity.node_capacity : kWholeNode;
+  for (Node& node : nodes_) node.capacity = capacity;
   for (const Qos& q : config_.fidelity.qos) {
     if (q.name.empty())
       throw std::invalid_argument("Slurmctld: QOS with empty name");
@@ -142,14 +147,14 @@ JobId Slurmctld::submit(JobSpec spec) {
     throw std::invalid_argument("Slurmctld::submit: limit exceeds partition max");
   if (spec.time_min > spec.time_limit)
     throw std::invalid_argument("Slurmctld::submit: time_min > time_limit");
-  if (tres_on_) {
-    // All-zero request means "whole node" (legacy exclusive semantics).
-    if (spec.tres_per_node.is_zero()) {
-      spec.tres_per_node = config_.fidelity.node_capacity;
-    } else if (!spec.tres_per_node.fits_within(config_.fidelity.node_capacity)) {
-      throw std::invalid_argument(
-          "Slurmctld::submit: TRES request exceeds node capacity");
-    }
+  // Whole-node requests (all-zero, and every request in legacy mode)
+  // take the node's full capacity.
+  const TresVector& capacity = nodes_.front().capacity;
+  if (!tres_on_ || spec.tres_per_node.is_zero()) {
+    spec.tres_per_node = capacity;
+  } else if (!spec.tres_per_node.fits_within(capacity)) {
+    throw std::invalid_argument(
+        "Slurmctld::submit: TRES request exceeds node capacity");
   }
   const Qos* qos = find_qos(spec.qos);
   if (!spec.qos.empty() && qos_on_ && qos == nullptr)
@@ -215,40 +220,21 @@ void Slurmctld::job_exited(JobId id) {
 void Slurmctld::set_node_down(NodeId id) {
   Node& node = nodes_.at(id);
   if (node.state == NodeState::kDown) return;
+  // A claimant waiting on this node can no longer be satisfied here;
+  // requeue it before the node's jobs collapse, so that no victim ending
+  // below completes a claim onto the dying node.
+  requeue_claimant(id);
   if (node.state == NodeState::kAllocated) {
-    if (tres_on_) {
-      // Keep claimants off this node while its jobs collapse (a victim
-      // ending here must not complete a claim onto a dying node).
-      draining_[id] = true;
-      std::vector<JobId> doomed = node.running_jobs;
-      ++counters_.node_failures;
-      for (const JobId jid : doomed) {
-        const auto jit = jobs_.find(jid);
-        if (jit != jobs_.end() && jit->second.is_active())
-          finish_job(jit->second, EndReason::kNodeFailed);
-      }
-    } else {
-      JobRecord& rec = jobs_.at(node.running_job);
-      ++counters_.node_failures;
-      finish_job(rec, EndReason::kNodeFailed);
+    ++counters_.node_failures;
+    const std::vector<JobId> doomed = node.running_jobs;
+    for (const JobId jid : doomed) {
+      JobRecord& rec = jobs_.at(jid);
+      if (rec.is_active()) finish_job(rec, EndReason::kNodeFailed);
     }
   }
-  // A pending launch claiming this node can no longer be satisfied here;
-  // requeue the claimant.
-  const auto claim = node_claims_.find(id);
-  if (claim != node_claims_.end()) {
-    const JobId claimant = claim->second;
-    drop_claim_tres(claimant);
-    JobRecord& rec = jobs_.at(claimant);
-    rec.state = JobState::kPending;
-    enqueue_pending(rec.priority_tier, rec);
-  }
   node.state = NodeState::kDown;
-  node.running_job = 0;
-  if (tres_on_) {
-    node.allocated = TresVector{};
-    node.running_jobs.clear();
-  }
+  node.allocated = TresVector{};
+  node.running_jobs.clear();
   announce(id);
   request_schedule();
 }
@@ -265,26 +251,18 @@ void Slurmctld::fail_node(NodeId id, sim::SimTime grace) {
     set_node_down(id);
     return;
   }
-  if (tres_on_) {
-    ++counters_.node_failures;
-    draining_[id] = true;
-    std::vector<JobId> doomed = node.running_jobs;
-    for (const JobId jid : doomed) {
-      JobRecord& rec = jobs_.at(jid);
-      if (rec.state == JobState::kRunning)
-        begin_grace(rec, EndReason::kNodeFailed, grace);
-    }
-    return;
-  }
-  JobRecord& rec = jobs_.at(node.running_job);
   ++counters_.node_failures;
-  // Like a maintenance drain, the node leaves service once its job is
-  // gone — but here the job is being killed on a truncated clock.
+  // Like a maintenance drain, the node leaves service once its jobs are
+  // gone — but here they are being killed on a truncated clock.
   draining_[id] = true;
-  if (rec.state == JobState::kRunning)
-    begin_grace(rec, EndReason::kNodeFailed, grace);
-  // kCompleting: a grace window is already running with an earlier-or-
-  // equal partition deadline; the node goes down when the job leaves.
+  const std::vector<JobId> doomed = node.running_jobs;
+  for (const JobId jid : doomed) {
+    JobRecord& rec = jobs_.at(jid);
+    if (rec.state == JobState::kRunning)
+      begin_grace(rec, EndReason::kNodeFailed, grace);
+    // kCompleting: a grace window is already running with an earlier-or-
+    // equal partition deadline; the node goes down when the job leaves.
+  }
 }
 
 void Slurmctld::set_node_up(NodeId id) {
@@ -353,19 +331,13 @@ ObservedNodeState Slurmctld::observed_state(NodeId id) const {
       return ObservedNodeState::kDown;
     case NodeState::kIdle:
       return ObservedNodeState::kIdle;
-    case NodeState::kAllocated: {
-      if (tres_on_) {
-        // Prime HPC work dominates the observed role: the paper's sinfo
-        // perspective reports a shared node as busy with HPC.
-        for (const JobId jid : node.running_jobs) {
-          if (jobs_.at(jid).priority_tier != 0) return ObservedNodeState::kHpc;
-        }
-        return ObservedNodeState::kPilot;
+    case NodeState::kAllocated:
+      // Prime HPC work dominates the observed role: the paper's sinfo
+      // perspective reports a shared node as busy with HPC.
+      for (const JobId jid : node.running_jobs) {
+        if (jobs_.at(jid).priority_tier != 0) return ObservedNodeState::kHpc;
       }
-      const JobRecord& rec = jobs_.at(node.running_job);
-      return rec.priority_tier == 0 ? ObservedNodeState::kPilot
-                                    : ObservedNodeState::kHpc;
-    }
+      return ObservedNodeState::kPilot;
   }
   return ObservedNodeState::kIdle;
 }
@@ -387,16 +359,9 @@ std::size_t Slurmctld::idle_node_count() const {
 std::size_t Slurmctld::available_node_count() const {
   std::size_t n = 0;
   for (const Node& node : nodes_) {
-    if (node.state == NodeState::kIdle) {
+    const ObservedNodeState seen = observed_state(node.id);
+    if (seen == ObservedNodeState::kIdle || seen == ObservedNodeState::kPilot)
       ++n;
-    } else if (node.state == NodeState::kAllocated) {
-      if (tres_on_) {
-        if (observed_state(node.id) == ObservedNodeState::kPilot) ++n;
-        continue;
-      }
-      const JobRecord& rec = jobs_.at(node.running_job);
-      if (rec.priority_tier == 0) ++n;
-    }
   }
   return n;
 }
@@ -434,43 +399,22 @@ const Partition& Slurmctld::partition_of(const JobRecord& rec) const {
 void Slurmctld::build_availability_into(std::int32_t tier,
                                         Availability& a) const {
   const sim::SimTime now = sim_.now();
-  a.free_at.assign(nodes_.size(), now);
-  a.pilot_free_at.assign(nodes_.size(), now);
+  a.free_at.resize(nodes_.size());
   const bool any_claims = !node_claims_.empty();
   for (const Node& node : nodes_) {
-    sim::SimTime hpc_free = now;
-    sim::SimTime pilot_free = now;
+    sim::SimTime free_at = now;
     if (node.state == NodeState::kDown) {
-      hpc_free = pilot_free = sim::SimTime::max();
+      free_at = sim::SimTime::max();
     } else if (node.state == NodeState::kAllocated) {
-      if (tres_on_) {
-        // Free when the *last* co-resident job is expected out; the node
-        // is transparent to `tier` only if every job on it is
-        // preemptable by that tier.
-        sim::SimTime expected_max = now;
-        bool all_preemptable = true;
-        for (const JobId jid : node.running_jobs) {
-          const JobRecord& rec = jobs_.at(jid);
-          sim::SimTime expected = rec.expected_end();
-          if (rec.state == JobState::kCompleting)
-            expected = std::min(expected, rec.end_time);
-          expected_max = std::max(expected_max, std::max(expected, now));
-          if (!(rec.preemptible && rec.preempt_tier < tier))
-            all_preemptable = false;
-        }
-        pilot_free = expected_max;
-        hpc_free = all_preemptable ? now : expected_max;
-      } else {
-        const JobRecord& rec = jobs_.at(node.running_job);
+      // Free when the last resident `tier` cannot preempt is expected
+      // out; preemptable residents are transparent.
+      for (const JobId jid : node.running_jobs) {
+        const JobRecord& rec = jobs_.at(jid);
+        if (rec.preemptible && rec.preempt_tier < tier) continue;
         sim::SimTime expected = rec.expected_end();
         if (rec.state == JobState::kCompleting)
           expected = std::min(expected, rec.end_time);
-        expected = std::max(expected, now);
-        pilot_free = expected;
-        // Preemptible lower-tier jobs are transparent to higher tiers.
-        const bool preemptable_by_us =
-            rec.preemptible && rec.priority_tier < tier;
-        hpc_free = preemptable_by_us ? now : expected;
+        free_at = std::max(free_at, expected);
       }
     }
     // Claimed nodes are spoken for until the claimant's expected end.
@@ -480,12 +424,10 @@ void Slurmctld::build_availability_into(std::int32_t tier,
         const JobRecord& claimant = jobs_.at(claim->second);
         const sim::SimTime claim_end =
             now + claimant.granted_limit + partition_of(claimant).grace_time;
-        hpc_free = std::max(hpc_free, claim_end);
-        pilot_free = std::max(pilot_free, claim_end);
+        free_at = std::max(free_at, claim_end);
       }
     }
-    a.free_at[node.id] = hpc_free;
-    a.pilot_free_at[node.id] = pilot_free;
+    a.free_at[node.id] = free_at;
   }
 }
 
@@ -496,13 +438,62 @@ Slurmctld::Availability Slurmctld::availability_snapshot(
   return a;
 }
 
-void Slurmctld::run_sched_pass(bool periodic) {
-  if (tres_on_) {
-    // TRES mode runs a parallel pass implementation; the legacy body
-    // below is never entered, so legacy decision logs cannot shift.
-    run_sched_pass_tres(periodic);
-    return;
+bool Slurmctld::fits_better(NodeId a, NodeId b) const {
+  const std::uint32_t fa = nodes_[a].capacity.cpus - nodes_[a].allocated.cpus;
+  const std::uint32_t fb = nodes_[b].capacity.cpus - nodes_[b].allocated.cpus;
+  if (fa != fb) return fa < fb;
+  if (last_freed_[a] != last_freed_[b]) return last_freed_[a] > last_freed_[b];
+  return a < b;
+}
+
+void Slurmctld::build_pass_cache(PassCache& cache) const {
+  cache.open.clear();
+  cache.preemptable.clear();
+  const bool any_claims = !node_claims_.empty();
+  for (const Node& node : nodes_) {
+    if (node.state == NodeState::kDown || draining_[node.id]) continue;
+    if (any_claims && node_claims_.contains(node.id)) continue;
+    if (!(node.capacity - node.allocated).is_zero())
+      cache.open.push_back(node.id);
+    for (const JobId jid : node.running_jobs) {
+      const JobRecord& rec = jobs_.at(jid);
+      if (rec.preemptible && rec.state == JobState::kRunning) {
+        cache.preemptable.push_back(node.id);
+        break;
+      }
+    }
   }
+  // Best fit first: partial nodes fill up before idle nodes are broken
+  // open, and among equals the most recently freed goes first (LIFO
+  // reuse, matching Slurm's stable node-weight ordering and producing
+  // the heavy-tailed per-node idleness of Fig. 1b).
+  std::sort(cache.open.begin(), cache.open.end(),
+            [this](NodeId a, NodeId b) { return fits_better(a, b); });
+}
+
+void Slurmctld::build_window_starts(std::vector<sim::SimTime>& out) const {
+  out.assign(nodes_.size(), sim::SimTime::max());
+  const sim::SimTime now = sim_.now();
+  for (const Reservation& r : reservations_) {
+    if (r.end <= now) continue;
+    const sim::SimTime from = std::max(r.start, now);
+    for (const NodeId n : r.nodes) out[n] = std::min(out[n], from);
+  }
+}
+
+sim::SimTime Slurmctld::hole(sim::SimTime reserved_from, NodeId n,
+                             sim::SimTime grace) const {
+  const sim::SimTime now = sim_.now();
+  sim::SimTime h = reserved_from == sim::SimTime::max()
+                       ? sim::SimTime::max()
+                       : reserved_from - now;
+  // The SIGKILL deadline, not just the limit, must clear a window.
+  if (window_from_[n] != sim::SimTime::max())
+    h = std::min(h, window_from_[n] - now - grace);
+  return h;
+}
+
+void Slurmctld::run_sched_pass(bool periodic) {
   ++counters_.sched_passes;
   const std::uint64_t started_before = counters_.started;
   const sim::SimTime now = sim_.now();
@@ -510,28 +501,10 @@ void Slurmctld::run_sched_pass(bool periodic) {
 
   // Node lists for this pass, updated in place as launches happen. All
   // pass-local vectors are member scratch: steady-state passes allocate
-  // nothing (ISSUE 2 hot-path contract, pinned by SchedGolden).
+  // nothing.
   PassCache& cache = pass_cache_;
-  cache.idle.clear();
-  cache.pilot_held.clear();
-  const bool any_claims = !node_claims_.empty();
-  for (const Node& node : nodes_) {
-    if (any_claims && node_claims_.contains(node.id)) continue;
-    if (node.state == NodeState::kIdle) {
-      cache.idle.push_back(node.id);
-    } else if (node.state == NodeState::kAllocated) {
-      const JobRecord& rec = jobs_.at(node.running_job);
-      if (rec.preemptible && rec.priority_tier == 0 &&
-          rec.state == JobState::kRunning) {
-        cache.pilot_held.push_back(node.id);
-      }
-    }
-  }
-  // LIFO reuse: most recently freed first (ties by id for determinism).
-  std::stable_sort(cache.idle.begin(), cache.idle.end(),
-                   [this](NodeId a, NodeId b) {
-                     return last_freed_[a] > last_freed_[b];
-                   });
+  build_pass_cache(cache);
+  build_window_starts(window_from_);
 
   // ---- Phase 1: HPC tiers (>= 1), highest first, backfill with up to
   // reservation_depth future reservations. reserved_from[n] = earliest
@@ -561,7 +534,7 @@ void Slurmctld::run_sched_pass(bool periodic) {
         still_pending.push_back(entry);
         continue;
       }
-      if (try_start_hpc(rec, cache, reserved_from)) {
+      if (try_start(rec, cache, reserved_from)) {
         // Reflect the launch (or claim) in the planning timeline.
         const sim::SimTime busy_until =
             now + rec.granted_limit + partition_of(rec).grace_time;
@@ -576,10 +549,8 @@ void Slurmctld::run_sched_pass(bool periodic) {
         std::vector<std::pair<sim::SimTime, NodeId>>& horizon =
             horizon_scratch_;
         horizon.clear();
-        horizon.reserve(nodes_.size());
-        for (const Node& node : nodes_) {
-          if (scratch[node.id] == sim::SimTime::max()) continue;
-          horizon.emplace_back(scratch[node.id], node.id);
+        for (NodeId n = 0; n < scratch.size(); ++n) {
+          if (scratch[n] != sim::SimTime::max()) horizon.emplace_back(scratch[n], n);
         }
         if (horizon.size() >= rec.spec.num_nodes) {
           std::nth_element(horizon.begin(),
@@ -600,7 +571,8 @@ void Slurmctld::run_sched_pass(bool periodic) {
     queue.swap(still_pending);
   }
 
-  // ---- Phase 2: tier-0 pilot placement on idle nodes. ------------------
+  // ---- Phase 2: tier-0 pilots pack into whatever TRES is left —
+  // including partial nodes already running prime HPC work.
   place_pilots(cache, reserved_from, periodic);
 
   // Remember this pass's reservation picture for stale var sizing.
@@ -615,109 +587,150 @@ void Slurmctld::run_sched_pass(bool periodic) {
   }
 }
 
-bool Slurmctld::try_start_hpc(JobRecord& rec, PassCache& cache,
-                              const std::vector<sim::SimTime>& reserved_until) {
-  const sim::SimTime now = sim_.now();
+bool Slurmctld::try_start(JobRecord& rec, PassCache& cache,
+                          const std::vector<sim::SimTime>& reserved_from) {
+  const std::uint32_t want_nodes = rec.spec.num_nodes;
+  // Cheap reject: not enough candidate nodes even before constraints.
+  if (cache.open.size() + cache.preemptable.size() < want_nodes) return false;
+
   // Variable-length jobs can shrink to time_min, so that is what must fit
-  // before a reservation; fixed jobs need their full declared limit.
-  const sim::SimTime limit = rec.spec.time_min > sim::SimTime::zero()
-                                 ? rec.spec.time_min
-                                 : rec.spec.time_limit;
-
-  // Cheap reject: not enough usable nodes even before constraints.
-  if (cache.idle.size() + cache.pilot_held.size() < rec.spec.num_nodes)
-    return false;
-
-  // A reserved node is usable only if this job ends before the
-  // reservation starts (EASY backfill condition).
+  // the hole; fixed jobs need their full declared limit. A node whose
+  // hole is too short is off limits (EASY backfill condition).
+  const bool is_var = rec.spec.time_min > sim::SimTime::zero();
+  const sim::SimTime limit = is_var ? rec.spec.time_min : rec.spec.time_limit;
+  const sim::SimTime grace = partition_of(rec).grace_time;
+  const TresVector& want = rec.spec.tres_per_node;
   const auto usable = [&](NodeId n) {
-    return reserved_until[n] == sim::SimTime::max() ||
-           now + limit <= reserved_until[n];
+    return limit <= hole(reserved_from[n], n, grace);
   };
 
-  // Prefer idle nodes: fewer preemptions, no grace-period delay.
+  // Prefer nodes whose free TRES already fits: no preemption, no
+  // grace-period delay.
   std::vector<NodeId>& chosen = chosen_scratch_;
   chosen.clear();
-  chosen.reserve(rec.spec.num_nodes);
-  std::vector<std::size_t>& taken_idle_idx = taken_idle_scratch_;
-  taken_idle_idx.clear();
-  for (std::size_t i = 0; i < cache.idle.size(); ++i) {
-    if (chosen.size() == rec.spec.num_nodes) break;
-    if (!usable(cache.idle[i])) continue;
-    chosen.push_back(cache.idle[i]);
-    taken_idle_idx.push_back(i);
+  std::vector<std::size_t>& taken = taken_scratch_;
+  taken.clear();
+  for (std::size_t i = 0; i < cache.open.size(); ++i) {
+    if (chosen.size() == want_nodes) break;
+    const NodeId n = cache.open[i];
+    if (!want.fits_within(node_free(n)) || !usable(n)) continue;
+    chosen.push_back(n);
+    taken.push_back(i);
   }
-  // Preempt the *youngest* pilots first: the least accumulated serving
-  // time is lost, and long-lived workers (warm containers, long queues)
-  // survive — matching the long-serving invoker tail the paper reports.
-  // Start times are gathered once so the sort never touches the jobs_
-  // hash table (two lookups per comparison in the old code).
-  std::vector<sim::SimTime>& pilot_start = pilot_start_scratch_;
-  pilot_start.clear();
-  pilot_start.reserve(cache.pilot_held.size());
-  for (const NodeId n : cache.pilot_held)
-    pilot_start.push_back(jobs_.at(nodes_[n].running_job).start_time);
-  std::vector<std::size_t>& pilot_order = pilot_order_scratch_;
-  pilot_order.resize(cache.pilot_held.size());
-  for (std::size_t i = 0; i < pilot_order.size(); ++i) pilot_order[i] = i;
-  std::stable_sort(pilot_order.begin(), pilot_order.end(),
-                   [&pilot_start](std::size_t a, std::size_t b) {
-                     return pilot_start[a] > pilot_start[b];
-                   });
-  std::vector<NodeId>& victim_nodes = victim_scratch_;
-  victim_nodes.clear();
-  std::vector<std::size_t>& taken_pilot_idx = taken_pilot_scratch_;
-  taken_pilot_idx.clear();
-  for (const std::size_t i : pilot_order) {
-    if (chosen.size() == rec.spec.num_nodes) break;
-    if (!usable(cache.pilot_held[i])) continue;
-    chosen.push_back(cache.pilot_held[i]);
-    victim_nodes.push_back(cache.pilot_held[i]);
-    taken_pilot_idx.push_back(i);
+
+  // Preemption completes the allocation on nodes where evicting strictly-
+  // lower-tier running preemptible jobs frees enough TRES. Nodes go
+  // youngest victim first — the least accumulated serving time is lost,
+  // and long-lived workers (warm containers, long queues) survive,
+  // matching the long-serving invoker tail the paper reports. Within a
+  // node the lowest tier dies first, youngest first within a tier.
+  std::vector<VictimNode>& candidates = victim_nodes_scratch_;
+  std::vector<JobId>& pool = victim_pool_scratch_;
+  candidates.clear();
+  pool.clear();
+  if (chosen.size() < want_nodes) {
+    for (std::size_t i = 0; i < cache.preemptable.size(); ++i) {
+      const NodeId n = cache.preemptable[i];
+      TresVector freeable = node_free(n);
+      if (want.fits_within(freeable) || !usable(n)) continue;
+      const std::size_t first = pool.size();
+      for (const JobId jid : nodes_[n].running_jobs) {
+        const JobRecord& v = jobs_.at(jid);
+        if (v.preemptible && v.state == JobState::kRunning &&
+            v.preempt_tier < rec.preempt_tier) {
+          pool.push_back(jid);
+        }
+      }
+      std::sort(pool.begin() + static_cast<std::ptrdiff_t>(first), pool.end(),
+                [this](JobId a, JobId b) {
+                  const JobRecord& x = jobs_.at(a);
+                  const JobRecord& y = jobs_.at(b);
+                  if (x.preempt_tier != y.preempt_tier)
+                    return x.preempt_tier < y.preempt_tier;
+                  if (x.start_time != y.start_time)
+                    return x.start_time > y.start_time;
+                  return a > b;
+                });
+      std::size_t last = first;
+      sim::SimTime youngest = sim::SimTime::zero();
+      while (last < pool.size() && !want.fits_within(freeable)) {
+        const JobRecord& v = jobs_.at(pool[last++]);
+        freeable += v.spec.tres_per_node;
+        youngest = std::max(youngest, v.start_time);
+      }
+      pool.resize(want.fits_within(freeable) ? last : first);
+      if (pool.size() > first) candidates.push_back({youngest, i, first, last});
+    }
+    if (chosen.size() + candidates.size() < want_nodes) return false;
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const VictimNode& a, const VictimNode& b) {
+                       return a.youngest > b.youngest;
+                     });
+    candidates.resize(want_nodes - chosen.size());
+    for (const VictimNode& c : candidates)
+      chosen.push_back(cache.preemptable[c.index]);
   }
-  std::sort(taken_pilot_idx.begin(), taken_pilot_idx.end());
-  if (chosen.size() < rec.spec.num_nodes) return false;
 
-  // Commit: strike the chosen nodes from the pass cache (erase by value,
-  // back-to-front to keep indices valid).
-  for (auto it = taken_idle_idx.rbegin(); it != taken_idle_idx.rend(); ++it)
-    cache.idle.erase(cache.idle.begin() + static_cast<std::ptrdiff_t>(*it));
-  for (auto it = taken_pilot_idx.rbegin(); it != taken_pilot_idx.rend(); ++it)
-    cache.pilot_held.erase(cache.pilot_held.begin() +
-                           static_cast<std::ptrdiff_t>(*it));
-
-  // Variable-length HPC jobs: size to the nearest reservation horizon.
+  // Variable-length jobs: size to the nearest hole on the chosen nodes.
   sim::SimTime granted = rec.spec.time_limit;
-  if (rec.spec.time_min > sim::SimTime::zero()) {
+  if (is_var) {
     sim::SimTime horizon = sim::SimTime::max();
     for (const NodeId n : chosen)
-      horizon = std::min(horizon, reserved_until[n]);
+      horizon = std::min(horizon, hole(reserved_from[n], n, grace));
     if (horizon != sim::SimTime::max()) {
-      granted = std::clamp(floor_to_slot(horizon - now, config_.slot),
+      granted = std::clamp(floor_to_slot(horizon, config_.slot),
                            rec.spec.time_min, rec.spec.time_limit);
     }
   }
 
-  if (victim_nodes.empty()) {
-    launch(rec, std::move(chosen), granted);
+  if (candidates.empty()) {
+    // Strike the taken nodes from the pass cache (back to front to keep
+    // indices valid); partially filled ones return at their new rank.
+    for (auto it = taken.rbegin(); it != taken.rend(); ++it)
+      cache.open.erase(cache.open.begin() + static_cast<std::ptrdiff_t>(*it));
+    launch(rec, chosen, granted);
+    for (const NodeId n : rec.nodes) {
+      if ((nodes_[n].capacity - nodes_[n].allocated).is_zero()) continue;
+      cache.open.insert(
+          std::lower_bound(
+              cache.open.begin(), cache.open.end(), n,
+              [this](NodeId a, NodeId b) { return fits_better(a, b); }),
+          n);
+    }
     return true;
   }
 
-  // Preempt victims and park the job until its nodes drain.
+  // Local (not scratch): victim callbacks below can re-enter the
+  // scheduler (a drained pilot may exit synchronously).
+  std::vector<JobId> victims;
+  for (const VictimNode& c : candidates) {
+    for (std::size_t k = c.first; k < c.last; ++k) {
+      // A multi-node victim can be credited to several chosen nodes.
+      if (std::find(victims.begin(), victims.end(), pool[k]) == victims.end())
+        victims.push_back(pool[k]);
+    }
+  }
+  const auto claimed = [&chosen](NodeId n) {
+    return std::find(chosen.begin(), chosen.end(), n) != chosen.end();
+  };
+  std::erase_if(cache.open, claimed);
+  std::erase_if(cache.preemptable, claimed);
+
+  // Preempt victims and park the job until they are gone.
   PendingLaunch pl;
   pl.id = rec.id;
   pl.nodes = chosen;
   pl.granted_limit = granted;
-  pl.nodes_missing = victim_nodes.size();
+  pl.victims_missing = victims.size();
   for (const NodeId n : chosen) node_claims_[n] = rec.id;
+  for (const JobId v : victims) victim_claims_.emplace(v, rec.id);
   pending_launches_.push_back(std::move(pl));
   notify_job(JobEventKind::kClaimed, rec);
 
-  for (const NodeId n : victim_nodes) {
-    JobRecord& victim = jobs_.at(nodes_.at(n).running_job);
+  for (const JobId v : victims) {
+    JobRecord& victim = jobs_.at(v);
     if (victim.state == JobState::kRunning)
       begin_grace(victim, EndReason::kPreempted);
-    // kCompleting victims are already draining; the claim waits for them.
   }
   return true;
 }
@@ -739,63 +752,61 @@ void Slurmctld::place_pilots(PassCache& cache,
   }
   if (var_allowed && config_.var_jobs_periodic_only) last_var_pass_ = now;
 
-  // For each idle node, pick the best (highest-priority) queued pilot
-  // that may start there: under the preempt-aware policy that is simply
-  // the head of the queue; under hole-fitting, the first pilot whose
-  // declared limit fits before the node's reservation.
-  // Pilots take the *coldest* idle nodes (longest idle first): under the
-  // LIFO reuse order HPC jobs consume hot nodes, so cold placement keeps
-  // pilots out of the line of fire and lengthens their serving lives.
-  std::vector<NodeId>& unused_nodes = unused_nodes_scratch_;
-  unused_nodes.clear();
-  std::vector<NodeId>& cold_first = cold_first_scratch_;
-  cold_first.assign(cache.idle.rbegin(), cache.idle.rend());
-  for (const NodeId node : cold_first) {
-    if (now - last_freed_[node] < config_.pilot_min_idle) {
-      unused_nodes.push_back(node);
-      continue;
-    }
-    if (queue.empty()) {
-      unused_nodes.push_back(node);
-      continue;
-    }
-    const sim::SimTime hole = reserved_from[node] == sim::SimTime::max()
-                                  ? sim::SimTime::max()
-                                  : reserved_from[node] - now;
-
-    bool placed = false;
+  // For each node, pack the best (highest-priority) queued pilots that
+  // fit: under the preempt-aware policy that is simply the head of the
+  // queue; under hole-fitting, the first pilot whose declared limit fits
+  // before the node's reservation. Pilots take the *coldest* nodes first
+  // (the open list backwards): under the LIFO reuse order HPC jobs
+  // consume hot nodes, so cold placement keeps pilots out of the line of
+  // fire and lengthens their serving lives.
+  const auto place_one = [&](NodeId node) {
+    const TresVector free = node_free(node);
     for (auto it = queue.begin(); it != queue.end(); ++it) {
       JobRecord& rec = jobs_.at(it->id);
       assert(rec.spec.num_nodes == 1 &&
              "tier-0 pilots are single-node by design");
       const bool is_var = rec.spec.time_min > sim::SimTime::zero();
       if (is_var && !var_allowed) continue;
+      if (!rec.spec.tres_per_node.fits_within(free)) continue;
+      const sim::SimTime grace = partition_of(rec).grace_time;
+      // Every pilot's SIGKILL deadline must clear a maintenance window
+      // (variable ones may shrink to time_min to do so).
+      const sim::SimTime needed = is_var ? rec.spec.time_min
+                                         : rec.spec.time_limit;
+      if (needed > hole(sim::SimTime::max(), node, grace)) continue;
 
       sim::SimTime granted = rec.spec.time_limit;
       if (is_var) {
         // Sized against the (possibly stale) availability picture.
-        const sim::SimTime stale_hole =
-            sizing_view[node] == sim::SimTime::max()
-                ? sim::SimTime::max()
-                : sizing_view[node] - now;
-        if (stale_hole != sim::SimTime::max()) {
-          granted = std::clamp(floor_to_slot(stale_hole, config_.slot),
+        const sim::SimTime h = hole(sizing_view[node], node, grace);
+        if (h != sim::SimTime::max()) {
+          granted = std::clamp(floor_to_slot(h, config_.slot),
                                rec.spec.time_min, rec.spec.time_limit);
         }
-      } else if (config_.pilot_placement == PilotPlacement::kHoleFitting &&
-                 hole != sim::SimTime::max() && rec.spec.time_limit > hole) {
-        continue;  // does not fit; try a shorter pilot for this node
+      } else if (config_.pilot_placement == PilotPlacement::kHoleFitting) {
+        const sim::SimTime h = hole(reserved_from[node], node, grace);
+        if (h != sim::SimTime::max() && rec.spec.time_limit > h)
+          continue;  // does not fit; try a shorter pilot for this node
       }
 
       queue.erase(it);
       launch(rec, {node}, granted);
-      placed = true;
-      break;
+      return true;
     }
-    if (!placed) unused_nodes.push_back(node);
+    return false;
+  };
+  for (auto it = cache.open.rbegin(); it != cache.open.rend(); ++it) {
+    if (queue.empty()) break;
+    const NodeId node = *it;
+    // The fresh-idle gate only guards fully idle nodes: partial nodes
+    // are already pinned down by their HPC resident.
+    if (nodes_[node].running_jobs.empty() &&
+        now - last_freed_[node] < config_.pilot_min_idle) {
+      continue;
+    }
+    while (!queue.empty() && !node_free(node).is_zero() && place_one(node)) {
+    }
   }
-  std::reverse(unused_nodes.begin(), unused_nodes.end());
-  cache.idle.swap(unused_nodes);
 }
 
 void Slurmctld::launch(JobRecord& rec, std::vector<NodeId> nodes,
@@ -807,19 +818,12 @@ void Slurmctld::launch(JobRecord& rec, std::vector<NodeId> nodes,
   rec.nodes = std::move(nodes);
   for (const NodeId n : rec.nodes) {
     Node& node = nodes_.at(n);
-    if (tres_on_) {
-      const ObservedNodeState prev = observed_state(n);
-      node.allocated += rec.spec.tres_per_node;
-      node.running_jobs.push_back(rec.id);
-      node.state = NodeState::kAllocated;
-      node.running_job = node.running_jobs.front();
-      if (observed_state(n) != prev) announce(n);
-    } else {
-      assert(node.state == NodeState::kIdle);
-      node.state = NodeState::kAllocated;
-      node.running_job = rec.id;
-      announce(n);
-    }
+    assert(node.state != NodeState::kDown);
+    const ObservedNodeState prev = observed_state(n);
+    node.allocated += rec.spec.tres_per_node;
+    node.running_jobs.push_back(rec.id);
+    node.state = NodeState::kAllocated;
+    if (observed_state(n) != prev) announce(n);
   }
   ++counters_.started;
   notify_job(JobEventKind::kLaunched, rec);
@@ -955,7 +959,7 @@ void Slurmctld::finish_job(JobRecord& rec, EndReason reason) {
              sim::SimTime::zero(), reason);
   if (was_active) free_nodes(rec);
   if (was_active && config_.fidelity.fair_share.enabled) charge_fair_share(rec);
-  if (tres_on_) victim_ended_tres(rec.id);
+  victim_ended(rec.id);
   if (rec.spec.on_end) rec.spec.on_end(rec, reason);
   if (was_active) request_schedule();
 }
@@ -964,387 +968,28 @@ void Slurmctld::free_nodes(const JobRecord& rec) {
   for (const NodeId n : rec.nodes) {
     Node& node = nodes_.at(n);
     if (node.state == NodeState::kDown) continue;  // failed underneath us
-    if (tres_on_) {
-      auto& rj = node.running_jobs;
-      const auto it = std::find(rj.begin(), rj.end(), rec.id);
-      if (it == rj.end()) continue;
-      const ObservedNodeState prev = observed_state(n);
-      rj.erase(it);
-      node.allocated -= rec.spec.tres_per_node;
-      if (rj.empty()) {
-        node.allocated = TresVector{};
-        node.running_job = 0;
-        if (draining_[n]) {
-          node.state = NodeState::kDown;
-        } else {
-          node.state = NodeState::kIdle;
-          last_freed_[n] = sim_.now();
-        }
+    auto& rj = node.running_jobs;
+    const auto it = std::find(rj.begin(), rj.end(), rec.id);
+    if (it == rj.end()) continue;
+    const ObservedNodeState prev = observed_state(n);
+    rj.erase(it);
+    node.allocated -= rec.spec.tres_per_node;
+    if (rj.empty()) {
+      node.allocated = TresVector{};
+      if (draining_[n]) {
+        // Maintenance hand-over: the node leaves service instead of
+        // going back to the pool.
+        node.state = NodeState::kDown;
       } else {
-        node.running_job = rj.front();
-      }
-      if (observed_state(n) != prev) announce(n);
-      // Claims complete via victim_ended_tres, not per-node node_freed.
-      continue;
-    }
-    if (node.running_job != rec.id) continue;
-    if (draining_[n]) {
-      // Maintenance hand-over: the node leaves service instead of going
-      // back to the pool.
-      node.state = NodeState::kDown;
-      node.running_job = 0;
-      announce(n);
-      continue;
-    }
-    node.state = NodeState::kIdle;
-    node.running_job = 0;
-    last_freed_[n] = sim_.now();
-    announce(n);
-    node_freed(n);
-  }
-}
-
-void Slurmctld::node_freed(NodeId id) {
-  const auto claim = node_claims_.find(id);
-  if (claim == node_claims_.end()) return;
-  const JobId claimant = claim->second;
-  for (auto it = pending_launches_.begin(); it != pending_launches_.end();
-       ++it) {
-    if (it->id != claimant) continue;
-    assert(it->nodes_missing > 0);
-    if (--it->nodes_missing == 0) {
-      PendingLaunch pl = std::move(*it);
-      pending_launches_.erase(it);
-      for (const NodeId n : pl.nodes) node_claims_.erase(n);
-      JobRecord& rec = jobs_.at(pl.id);
-      launch(rec, std::move(pl.nodes), pl.granted_limit);
-    }
-    return;
-  }
-}
-
-// --- TRES-mode scheduling ---------------------------------------------------
-
-void Slurmctld::build_reservation_deadlines(
-    std::vector<sim::SimTime>& out) const {
-  out.assign(nodes_.size(), sim::SimTime::max());
-  if (reservations_.empty()) return;
-  const sim::SimTime now = sim_.now();
-  for (const Reservation& r : reservations_) {
-    if (r.end <= now) continue;
-    const sim::SimTime from = std::max(r.start, now);
-    for (const NodeId n : r.nodes) out[n] = std::min(out[n], from);
-  }
-}
-
-bool Slurmctld::reservation_allows(
-    const std::vector<sim::SimTime>& res_next_start, NodeId node,
-    sim::SimTime limit_plus_grace) const {
-  return res_next_start[node] == sim::SimTime::max() ||
-         sim_.now() + limit_plus_grace <= res_next_start[node];
-}
-
-void Slurmctld::run_sched_pass_tres(bool periodic) {
-  ++counters_.sched_passes;
-  const std::uint64_t started_before = counters_.started;
-  const sim::SimTime now = sim_.now();
-  last_pass_ = now;
-
-  std::vector<sim::SimTime>& res_next = res_deadline_scratch_;
-  build_reservation_deadlines(res_next);
-
-  // Phase 1: HPC tiers, highest first, strict priority order with EASY
-  // backfill: once the head job of a tier is blocked, later jobs may
-  // start only if they end before its shadow time.
-  for (auto& [tier, queue] : pending_) {
-    if (tier == 0) break;  // pilots handled in phase 2
-    std::vector<QueueEntry>& still_pending = still_pending_scratch_;
-    still_pending.clear();
-    still_pending.reserve(queue.size());
-    sim::SimTime shadow = sim::SimTime::max();
-    bool head_blocked = false;
-    std::size_t examined = 0;
-    for (const QueueEntry& entry : queue) {
-      JobRecord& rec = jobs_.at(entry.id);
-      if (examined++ >= config_.backfill_depth) {
-        still_pending.push_back(entry);
-        continue;
-      }
-      if (try_start_tres(rec, res_next, shadow)) continue;
-      if (!head_blocked) {
-        head_blocked = true;
-        shadow = tres_shadow_time(rec, res_next);
-      }
-      still_pending.push_back(entry);
-    }
-    queue.swap(still_pending);
-  }
-
-  // Phase 2: pilots pack into whatever TRES is left — including partial
-  // nodes already running prime HPC work (fractional-node harvesting).
-  place_pilots_tres(res_next, periodic);
-
-  HW_OBS_IF(config_.obs) {
-    config_.obs->trace.record(
-        obs::Cat::kSched, obs::Phase::kInstant, "sched_pass",
-        obs::Track::kSlurmctld, 0, counters_.sched_passes, now,
-        periodic ? 1.0 : 0.0,
-        static_cast<double>(counters_.started - started_before));
-  }
-}
-
-bool Slurmctld::try_start_tres(JobRecord& rec,
-                               const std::vector<sim::SimTime>& res_next_start,
-                               sim::SimTime shadow) {
-  const sim::SimTime now = sim_.now();
-  const bool is_var = rec.spec.time_min > sim::SimTime::zero();
-  const sim::SimTime limit = is_var ? rec.spec.time_min : rec.spec.time_limit;
-  const Partition& part = partition_of(rec);
-  const sim::SimTime fence = limit + part.grace_time;
-  // EASY legality: backfilled jobs must end before the head job's shadow.
-  if (shadow != sim::SimTime::max() && now + limit > shadow) return false;
-
-  const TresVector want = rec.spec.tres_per_node;
-
-  const auto node_usable = [&](const Node& node) {
-    return node.state != NodeState::kDown && !draining_[node.id] &&
-           !node_claims_.contains(node.id) &&
-           reservation_allows(res_next_start, node.id, fence);
-  };
-
-  // Nodes whose free TRES fits right now, best-fit first (least free
-  // cpus): partial nodes fill up before idle nodes are broken open,
-  // keeping whole-node holes for multi-node jobs and cold pilots.
-  std::vector<std::pair<std::uint64_t, NodeId>>& cand = tres_cand_scratch_;
-  cand.clear();
-  for (const Node& node : nodes_) {
-    if (!node_usable(node)) continue;
-    const TresVector free = node.capacity - node.allocated;
-    if (!want.fits_within(free)) continue;
-    cand.emplace_back((std::uint64_t{free.cpus} << 32) | node.id, node.id);
-  }
-  std::sort(cand.begin(), cand.end());
-  std::vector<NodeId>& chosen = chosen_scratch_;
-  chosen.clear();
-  for (const auto& [key, n] : cand) {
-    if (chosen.size() == rec.spec.num_nodes) break;
-    chosen.push_back(n);
-  }
-
-  // Local (not scratch): victim callbacks below can re-enter the
-  // scheduler (a drained pilot may exit synchronously).
-  std::vector<JobId> victims;
-  if (chosen.size() < rec.spec.num_nodes) {
-    // QOS preemption: complete the allocation on nodes where evicting
-    // strictly-lower-tier preemptible jobs frees enough TRES. Lowest
-    // tier dies first; youngest first within a tier (least accumulated
-    // serving time lost, as in the legacy victim order).
-    struct Victim {
-      std::int32_t tier;
-      sim::SimTime start;
-      JobId id;
-      TresVector tres;
-    };
-    std::vector<Victim> evict;
-    for (const Node& node : nodes_) {
-      if (chosen.size() == rec.spec.num_nodes) break;
-      if (!node_usable(node)) continue;
-      TresVector freeable = node.capacity - node.allocated;
-      if (want.fits_within(freeable)) continue;  // already in `chosen`
-      evict.clear();
-      for (const JobId jid : node.running_jobs) {
-        const JobRecord& v = jobs_.at(jid);
-        if (!v.preemptible || !v.is_active()) continue;
-        if (v.preempt_tier >= rec.preempt_tier) continue;
-        evict.push_back({v.preempt_tier, v.start_time, jid, v.spec.tres_per_node});
-      }
-      std::sort(evict.begin(), evict.end(),
-                [](const Victim& a, const Victim& b) {
-                  if (a.tier != b.tier) return a.tier < b.tier;
-                  if (a.start != b.start) return a.start > b.start;
-                  return a.id > b.id;
-                });
-      std::size_t used = 0;
-      for (const Victim& v : evict) {
-        if (want.fits_within(freeable)) break;
-        freeable += v.tres;
-        ++used;
-      }
-      if (!want.fits_within(freeable)) continue;
-      chosen.push_back(node.id);
-      for (std::size_t i = 0; i < used; ++i) victims.push_back(evict[i].id);
-    }
-    if (chosen.size() < rec.spec.num_nodes) return false;
-    // A multi-node victim can be credited to several chosen nodes.
-    std::sort(victims.begin(), victims.end());
-    victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
-  }
-
-  // Variable-length jobs: size into the gap before the earliest upcoming
-  // reservation window on the chosen nodes (the SIGKILL deadline must
-  // clear the window, hence the grace subtraction).
-  sim::SimTime granted = rec.spec.time_limit;
-  if (is_var) {
-    sim::SimTime horizon = sim::SimTime::max();
-    for (const NodeId n : chosen)
-      horizon = std::min(horizon, res_next_start[n]);
-    if (horizon != sim::SimTime::max()) {
-      granted =
-          std::clamp(floor_to_slot(horizon - now - part.grace_time, config_.slot),
-                     rec.spec.time_min, rec.spec.time_limit);
-    }
-  }
-
-  if (victims.empty()) {
-    launch(rec, std::move(chosen), granted);
-    return true;
-  }
-
-  PendingLaunch pl;
-  pl.id = rec.id;
-  pl.nodes = chosen;
-  pl.granted_limit = granted;
-  pl.nodes_missing = victims.size();  // victim *jobs* in TRES mode
-  for (const NodeId n : chosen) node_claims_[n] = rec.id;
-  for (const JobId v : victims) victim_claims_.emplace(v, rec.id);
-  pending_launches_.push_back(std::move(pl));
-  notify_job(JobEventKind::kClaimed, rec);
-
-  for (const JobId v : victims) {
-    JobRecord& victim = jobs_.at(v);
-    if (victim.state == JobState::kRunning)
-      begin_grace(victim, EndReason::kPreempted);
-    // kCompleting victims are already draining; the claim waits for them.
-  }
-  return true;
-}
-
-sim::SimTime Slurmctld::tres_shadow_time(
-    const JobRecord& rec,
-    const std::vector<sim::SimTime>& res_next_start) const {
-  const sim::SimTime now = sim_.now();
-  const bool is_var = rec.spec.time_min > sim::SimTime::zero();
-  const sim::SimTime limit = is_var ? rec.spec.time_min : rec.spec.time_limit;
-  const sim::SimTime fence = limit + partition_of(rec).grace_time;
-  const TresVector want = rec.spec.tres_per_node;
-
-  // Per-node earliest fit time: walk the node's jobs by expected end,
-  // accumulating frees until the request fits. Planning free-TRES only
-  // grows over time, so the walk is exact on declared limits.
-  std::vector<std::pair<sim::SimTime, NodeId>> fits;
-  std::vector<std::pair<sim::SimTime, TresVector>> ends;
-  for (const Node& node : nodes_) {
-    if (node.state == NodeState::kDown || draining_[node.id]) continue;
-    if (node_claims_.contains(node.id)) continue;
-    if (!reservation_allows(res_next_start, node.id, fence)) continue;
-    TresVector free = node.capacity - node.allocated;
-    if (want.fits_within(free)) {
-      fits.emplace_back(now, node.id);
-      continue;
-    }
-    ends.clear();
-    for (const JobId jid : node.running_jobs) {
-      const JobRecord& j = jobs_.at(jid);
-      sim::SimTime expected = j.expected_end();
-      if (j.state == JobState::kCompleting)
-        expected = std::min(expected, j.end_time);
-      ends.emplace_back(std::max(expected, now), j.spec.tres_per_node);
-    }
-    std::sort(ends.begin(), ends.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [end, tres] : ends) {
-      free += tres;
-      if (want.fits_within(free)) {
-        fits.emplace_back(end, node.id);
-        break;
+        node.state = NodeState::kIdle;
+        last_freed_[n] = sim_.now();
       }
     }
-  }
-  if (fits.size() < rec.spec.num_nodes) return sim::SimTime::max();
-  std::nth_element(fits.begin(), fits.begin() + (rec.spec.num_nodes - 1),
-                   fits.end());
-  const sim::SimTime shadow = fits[rec.spec.num_nodes - 1].first;
-  if (shadow > now + config_.backfill_window) return sim::SimTime::max();
-  return std::max(shadow, now);
-}
-
-void Slurmctld::place_pilots_tres(
-    const std::vector<sim::SimTime>& res_next_start, bool periodic) {
-  const auto tier0 = pending_.find(0);
-  if (tier0 == pending_.end() || tier0->second.empty()) return;
-  auto& queue = tier0->second;
-
-  const sim::SimTime now = sim_.now();
-  bool var_allowed = !config_.var_jobs_periodic_only || periodic;
-  if (var_allowed && config_.var_jobs_periodic_only &&
-      now - last_var_pass_ < config_.var_pass_period) {
-    var_allowed = false;
-  }
-  if (var_allowed && config_.var_jobs_periodic_only) last_var_pass_ = now;
-
-  // Candidate order: most free cpus first (whole idle nodes before
-  // partial ones), coldest first within a level — the fractional-
-  // harvesting analogue of the legacy cold-first pilot policy.
-  std::vector<NodeId>& order = cold_first_scratch_;
-  order.clear();
-  for (const Node& node : nodes_) {
-    if (node.state == NodeState::kDown || draining_[node.id]) continue;
-    if (node_claims_.contains(node.id)) continue;
-    if ((node.capacity - node.allocated).is_zero()) continue;
-    // The fresh-idle gate only guards fully idle nodes: partial nodes
-    // are already pinned down by their HPC resident.
-    if (node.state == NodeState::kIdle &&
-        now - last_freed_[node.id] < config_.pilot_min_idle) {
-      continue;
-    }
-    order.push_back(node.id);
-  }
-  std::sort(order.begin(), order.end(), [this](NodeId a, NodeId b) {
-    const std::uint32_t fa = nodes_[a].capacity.cpus - nodes_[a].allocated.cpus;
-    const std::uint32_t fb = nodes_[b].capacity.cpus - nodes_[b].allocated.cpus;
-    if (fa != fb) return fa > fb;
-    if (last_freed_[a] != last_freed_[b]) return last_freed_[a] < last_freed_[b];
-    return a < b;
-  });
-
-  for (const NodeId nid : order) {
-    if (queue.empty()) break;
-    Node& node = nodes_[nid];
-    bool progress = true;
-    while (progress && !queue.empty()) {
-      progress = false;
-      const TresVector free = node.capacity - node.allocated;
-      if (free.is_zero()) break;
-      for (auto it = queue.begin(); it != queue.end(); ++it) {
-        JobRecord& rec = jobs_.at(it->id);
-        assert(rec.spec.num_nodes == 1 &&
-               "tier-0 pilots are single-node by design");
-        const bool is_var = rec.spec.time_min > sim::SimTime::zero();
-        if (is_var && !var_allowed) continue;
-        if (!rec.spec.tres_per_node.fits_within(free)) continue;
-        const Partition& part = partition_of(rec);
-        // Fixed pilots need their whole declared limit (plus grace) to
-        // clear any upcoming window; variable ones shrink into the gap.
-        const sim::SimTime feas =
-            (is_var ? rec.spec.time_min : rec.spec.time_limit) +
-            part.grace_time;
-        if (!reservation_allows(res_next_start, nid, feas)) continue;
-        sim::SimTime granted = rec.spec.time_limit;
-        if (is_var && res_next_start[nid] != sim::SimTime::max()) {
-          const sim::SimTime hole = res_next_start[nid] - now - part.grace_time;
-          granted = std::clamp(floor_to_slot(hole, config_.slot),
-                               rec.spec.time_min, rec.spec.time_limit);
-        }
-        queue.erase(it);
-        launch(rec, {nid}, granted);
-        progress = true;
-        break;
-      }
-    }
+    if (observed_state(n) != prev) announce(n);
   }
 }
 
-void Slurmctld::victim_ended_tres(JobId victim) {
+void Slurmctld::victim_ended(JobId victim) {
   if (victim_claims_.empty()) return;
   const auto range = victim_claims_.equal_range(victim);
   if (range.first == range.second) return;
@@ -1360,30 +1005,25 @@ void Slurmctld::victim_ended_tres(JobId victim) {
                        return p.id == claimant;
                      });
     if (plit == pending_launches_.end()) continue;
-    assert(plit->nodes_missing > 0);
-    if (--plit->nodes_missing != 0) continue;
+    assert(plit->victims_missing > 0);
+    if (--plit->victims_missing != 0) continue;
 
     PendingLaunch pl = std::move(*plit);
     pending_launches_.erase(plit);
     for (const NodeId n : pl.nodes) node_claims_.erase(n);
     JobRecord& rec = jobs_.at(pl.id);
 
-    // Re-check the world: a reservation window or node failure may have
-    // closed in while the victims drained.
-    build_reservation_deadlines(res_deadline_scratch_);
-    const Partition& part = partition_of(rec);
-    const sim::SimTime fence = pl.granted_limit + part.grace_time;
-    bool ok = true;
-    for (const NodeId n : pl.nodes) {
-      const Node& node = nodes_[n];
-      if (node.state == NodeState::kDown || draining_[n] ||
-          !reservation_allows(res_deadline_scratch_, n, fence) ||
-          !rec.spec.tres_per_node.fits_within(node.capacity - node.allocated)) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) {
+    // Re-check the world: a node may have failed, drained or entered a
+    // maintenance window while the victims drained.
+    build_window_starts(window_from_);
+    const sim::SimTime grace = partition_of(rec).grace_time;
+    const bool usable = std::all_of(
+        pl.nodes.begin(), pl.nodes.end(), [&](NodeId n) {
+          return nodes_[n].state != NodeState::kDown && !draining_[n] &&
+                 pl.granted_limit <= hole(sim::SimTime::max(), n, grace) &&
+                 rec.spec.tres_per_node.fits_within(node_free(n));
+        });
+    if (!usable) {
       rec.state = JobState::kPending;
       enqueue_pending(rec.priority_tier, rec);
       request_schedule();
@@ -1393,7 +1033,7 @@ void Slurmctld::victim_ended_tres(JobId victim) {
   }
 }
 
-void Slurmctld::drop_claim_tres(JobId claimant) {
+void Slurmctld::drop_claim(JobId claimant) {
   for (auto it = pending_launches_.begin(); it != pending_launches_.end();
        ++it) {
     if (it->id != claimant) continue;
@@ -1404,6 +1044,16 @@ void Slurmctld::drop_claim_tres(JobId claimant) {
   for (auto it = victim_claims_.begin(); it != victim_claims_.end();) {
     it = it->second == claimant ? victim_claims_.erase(it) : std::next(it);
   }
+}
+
+void Slurmctld::requeue_claimant(NodeId node) {
+  const auto claim = node_claims_.find(node);
+  if (claim == node_claims_.end()) return;
+  const JobId claimant = claim->second;
+  drop_claim(claimant);
+  JobRecord& rec = jobs_.at(claimant);
+  rec.state = JobState::kPending;
+  enqueue_pending(rec.priority_tier, rec);
 }
 
 // --- Reservations -----------------------------------------------------------
@@ -1435,14 +1085,7 @@ void Slurmctld::reservation_window_begin(std::size_t index) {
     if (node.state == NodeState::kDown) continue;
     draining_[id] = true;
     // A claimant waiting on this node can no longer be satisfied here.
-    const auto claim = node_claims_.find(id);
-    if (claim != node_claims_.end()) {
-      const JobId claimant = claim->second;
-      drop_claim_tres(claimant);
-      JobRecord& crec = jobs_.at(claimant);
-      crec.state = JobState::kPending;
-      enqueue_pending(crec.priority_tier, crec);
-    }
+    requeue_claimant(id);
     if (node.state == NodeState::kIdle) {
       node.state = NodeState::kDown;
       announce(id);
@@ -1510,13 +1153,15 @@ void Slurmctld::charge_fair_share(const JobRecord& rec) {
   if (!fs.enabled) return;
   const sim::SimTime elapsed = rec.end_time - rec.start_time;
   if (elapsed <= sim::SimTime::zero()) return;
+  // Fractional allocations are charged in proportion to the cpu share
+  // actually held (cons_tres billing weights, cpu axis only); whole-node
+  // jobs hold all of it.
+  const TresVector& capacity = nodes_.front().capacity;
   double node_seconds =
       elapsed.to_seconds() * static_cast<double>(rec.spec.num_nodes);
-  if (tres_on_ && config_.fidelity.node_capacity.cpus > 0) {
-    // Fractional allocations are charged in proportion to the cpu share
-    // actually held (cons_tres billing weights, cpu axis only).
+  if (capacity.cpus > 0) {
     node_seconds *= static_cast<double>(rec.spec.tres_per_node.cpus) /
-                    static_cast<double>(config_.fidelity.node_capacity.cpus);
+                    static_cast<double>(capacity.cpus);
   }
   if (const Qos* q = find_qos(rec.spec.qos)) node_seconds *= q->usage_factor;
   const std::string& account =

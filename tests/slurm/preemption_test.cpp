@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "hpcwhisk/slurm/slurmctld.hpp"
 
 namespace hpcwhisk::slurm {
@@ -221,6 +223,44 @@ TEST(Preemption, PreemptAwarePolicyPlacesOversizedPilot) {
   // Faithful Slurm-with-CANCEL behaviour: the pilot starts anyway and
   // will simply be preempted when the reservation materializes.
   EXPECT_EQ(ctld.job(big).state, JobState::kRunning);
+}
+
+// An HPC job can claim a node whose pilot then sits in its preemption
+// grace. If that node fails with a grace window or is drained meanwhile,
+// the pilot's exit takes the node out of service instead of handing it
+// to the claimant. The claimant must be requeued and placed elsewhere —
+// not left waiting for a node that will never come back.
+void expect_claimant_requeued(const std::function<void(Slurmctld&)>& knock_out) {
+  Simulation sim;
+  Slurmctld ctld{sim, config(3), partitions()};
+  for (int i = 0; i < 3; ++i) ctld.submit(pilot(SimTime::minutes(90)));
+  sim.run_until(SimTime::minutes(1));
+  ASSERT_EQ(ctld.observed_state(0), ObservedNodeState::kPilot);
+
+  const JobId h = ctld.submit(hpc(2, SimTime::minutes(10), SimTime::minutes(10)));
+  sim.run_until(SimTime::minutes(1) + SimTime::seconds(1));
+  ASSERT_EQ(ctld.running_count(), 3u);
+  ASSERT_EQ(ctld.job(h).state, JobState::kPending);  // claim placed
+  // All pilots started together: the claim takes nodes 0 and 1.
+  knock_out(ctld);
+
+  sim.run_until(SimTime::minutes(15));
+  EXPECT_EQ(ctld.observed_state(0), ObservedNodeState::kDown);
+  ASSERT_EQ(ctld.job(h).state, JobState::kRunning);
+  EXPECT_EQ(ctld.job(h).nodes.size(), 2u);
+  for (const NodeId n : ctld.job(h).nodes) EXPECT_NE(n, 0u);
+  // Requeued when the victims left (t=4 min), then one more grace for
+  // the pilot on the replacement node.
+  EXPECT_LE(ctld.job(h).start_time, SimTime::minutes(8));
+}
+
+TEST(Preemption, ClaimOnFailedNodeRequeuesClaimant) {
+  expect_claimant_requeued(
+      [](Slurmctld& ctld) { ctld.fail_node(0, SimTime::seconds(60)); });
+}
+
+TEST(Preemption, ClaimOnDrainedNodeRequeuesClaimant) {
+  expect_claimant_requeued([](Slurmctld& ctld) { ctld.drain_node(0); });
 }
 
 }  // namespace

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "hpcwhisk/sim/rng.hpp"
 #include "hpcwhisk/slurm/slurmctld.hpp"
 #include "hpcwhisk/slurm/tres.hpp"
 
@@ -258,6 +263,98 @@ TEST(Reservation, RequiresTresMode) {
   r.end = SimTime::minutes(10);
   r.nodes = {0};
   EXPECT_THROW(ctld.add_reservation(r), std::invalid_argument);
+}
+
+// Whole-node allocation is the full-capacity case of TRES packing: the
+// same fault-free job stream fed to a legacy cluster and to a TRES
+// cluster whose every job requests the full node capacity must produce
+// the same job records (start, nodes, granted limit, end, end state).
+// The stream mixes fixed and variable multi-node HPC jobs with fixed and
+// variable pilots under production pass cadence, so ties in node order,
+// backfill reservations, var sizing and preemption all get exercised.
+struct TimedSubmit {
+  SimTime at;
+  JobSpec spec;
+};
+
+std::vector<TimedSubmit> mixed_stream(std::uint64_t seed, SimTime horizon) {
+  sim::Rng rng{seed};
+  std::vector<TimedSubmit> out;
+  for (SimTime t = SimTime::zero(); t < horizon; t += SimTime::minutes(5)) {
+    for (int i = 0; i < 3; ++i) {
+      JobSpec fixed = pilot_job(SimTime::minutes(rng.uniform_int(2, 40)));
+      fixed.priority = rng.uniform_int(0, 5);
+      out.push_back({t, fixed});
+    }
+    JobSpec var = pilot_job(SimTime::minutes(60));
+    var.time_min = SimTime::minutes(4);
+    out.push_back({t, var});
+  }
+  for (SimTime t = SimTime::seconds(rng.exponential(40.0)); t < horizon;
+       t += SimTime::seconds(rng.exponential(40.0))) {
+    const double limit_min = static_cast<double>(rng.uniform_int(6, 60));
+    JobSpec spec = hpc_job(static_cast<std::uint32_t>(rng.uniform_int(1, 8)),
+                           SimTime::minutes(limit_min),
+                           SimTime::minutes(limit_min * rng.uniform(0.3, 1.0)));
+    spec.priority = rng.uniform_int(0, 3);
+    if (rng.bernoulli(0.2)) {
+      spec.time_min = SimTime::minutes(4);
+      spec.actual_runtime = SimTime::max();
+    }
+    out.push_back({t, spec});
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const TimedSubmit& a, const TimedSubmit& b) {
+                     return a.at < b.at;
+                   });
+  return out;
+}
+
+std::vector<JobRecord> replay(Slurmctld::Config cfg,
+                              const std::vector<TimedSubmit>& stream,
+                              TresVector request, SimTime horizon) {
+  Simulation sim;
+  Slurmctld ctld{sim, cfg, partitions()};
+  for (const TimedSubmit& s : stream) {
+    JobSpec spec = s.spec;
+    spec.tres_per_node = request;
+    sim.at(s.at, [&ctld, spec] { ctld.submit(spec); });
+  }
+  sim.run_until(horizon);
+  std::vector<JobRecord> out;
+  ctld.for_each_job([&out](const JobRecord& rec) { out.push_back(rec); });
+  return out;
+}
+
+TEST(Tres, WholeNodeRequestsReproduceLegacyDecisions) {
+  const SimTime horizon = SimTime::hours(3);
+  const auto stream = mixed_stream(11, horizon);
+  Slurmctld::Config legacy;  // production pass cadence and launch latency
+  legacy.node_count = 32;
+  Slurmctld::Config tres = legacy;
+  tres.fidelity.tres_mode = true;
+  tres.fidelity.node_capacity = {8, 32000, 0};
+
+  const auto a = replay(legacy, stream, {}, horizon);
+  const auto b = replay(tres, stream, tres.fidelity.node_capacity, horizon);
+  ASSERT_EQ(a.size(), b.size());
+  std::size_t preempted = 0;
+  std::size_t started = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(a[i].id) + " (" +
+                 a[i].spec.partition + ")");
+    ASSERT_EQ(a[i].id, b[i].id);
+    EXPECT_EQ(a[i].state, b[i].state);
+    EXPECT_EQ(a[i].start_time, b[i].start_time);
+    EXPECT_EQ(a[i].nodes, b[i].nodes);
+    EXPECT_EQ(a[i].granted_limit, b[i].granted_limit);
+    EXPECT_EQ(a[i].end_time, b[i].end_time);
+    preempted += a[i].state == JobState::kPreempted ? 1 : 0;
+    started += a[i].nodes.empty() ? 0 : 1;
+  }
+  // The stream must actually exercise preemption and a busy cluster.
+  EXPECT_GT(preempted, 10u);
+  EXPECT_GT(started, 100u);
 }
 
 }  // namespace

@@ -201,39 +201,15 @@ if [[ "${SANITIZE:-0}" != "1" ]]; then
   cp "$BUILD_DIR/BENCH_serving.json" BENCH_serving.json
 fi
 
-# Fidelity leg: the four-regime Slurm-fidelity ablation must emit a
-# structurally valid BENCH_fidelity.json and satisfy its acceptance
-# contract — the regimes diverge on harvested node-seconds and p95, the
-# legacy golden decision-log hash is intact (fidelity knobs are opt-in),
-# and a SimCheck mini-campaign over the new regimes is invariant-clean
-# (the bench's exit code enforces all three).
+# Fidelity leg: the four-regime Slurm-fidelity ablation must satisfy its
+# acceptance contract — the regimes diverge on harvested node-seconds
+# and p95, the legacy golden decision-log hash is intact (fidelity knobs
+# are opt-in), a SimCheck mini-campaign over the new regimes is
+# invariant-clean, the report is sane and TRES out-harvests legacy (the
+# bench's exit code enforces all of them).
 echo "== fidelity smoke =="
 HW_FIDELITY_OUT="$BUILD_DIR/BENCH_fidelity.json" \
   "$BUILD_DIR"/bench/ablation_fidelity > /dev/null
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$BUILD_DIR/BENCH_fidelity.json" <<'PYEOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-legs = doc["legs"]
-assert len(legs) >= 4, "expected one leg per fidelity regime"
-regimes = {leg["regime"] for leg in legs}
-assert regimes == {"legacy", "tres", "tres+resv", "tres+resv+qos"}, regimes
-for leg in legs:
-    assert leg["jobs_started"] > 0 and leg["completed"] > 0, leg
-    assert leg["harvested_node_s"] > 0, leg
-    assert 0.0 <= leg["harvest_efficiency"] <= 1.0, leg
-    assert 0.0 <= leg["cold_start_rate"] <= 1.0, leg
-    assert leg["p50_ms"] <= leg["p95_ms"], leg
-agg = doc["regimes"]
-assert agg["tres"]["harvested_node_s"] > agg["legacy"]["harvested_node_s"], \
-    "fractional-node harvesting must beat whole-node harvesting"
-assert doc["golden"]["hash"] == doc["golden"]["expected"], doc["golden"]
-assert doc["simcheck"]["failures"] == 0, doc["simcheck"]
-acc = doc["acceptance"]
-assert acc["acceptance_ok"], f"fidelity acceptance failed: {acc}"
-print(f"fidelity schema OK ({len(legs)} legs, {len(regimes)} regimes)")
-PYEOF
-fi
 bench_gate fidelity BENCH_fidelity.json "$BUILD_DIR/BENCH_fidelity.json"
 if [[ "${SANITIZE:-0}" != "1" ]]; then
   cp "$BUILD_DIR/BENCH_fidelity.json" BENCH_fidelity.json
