@@ -195,6 +195,7 @@ class JobManager {
   void on_pilot_start(const slurm::JobRecord& rec);
   void on_pilot_sigterm(const slurm::JobRecord& rec);
   void on_pilot_end(const slurm::JobRecord& rec, slurm::EndReason reason);
+  void count_end(slurm::EndReason reason);
   void schedule_reap(slurm::JobId id);
 
   sim::Simulation& sim_;

@@ -240,6 +240,16 @@ void JobManager::submit_pilot(sim::SimTime length, bool variable) {
 void JobManager::on_pilot_start(const slurm::JobRecord& rec) {
   queued_.erase(rec.id);
   ++counters_.started;
+  if (rec.state == slurm::JobState::kCompleting) {
+    // SIGTERM arrived inside the launch latency, before the pilot
+    // existed, so on_pilot_sigterm had nothing to drain. Exit at once
+    // instead of warming up an invoker Slurm is about to SIGKILL.
+    ++harvest_.pilots_never_served;
+    harvest_.preempt_wasted += sim_.now() - rec.start_time;
+    count_end(rec.grace_reason);
+    slurmctld_.job_exited(rec.id);
+    return;
+  }
   auto invoker = std::make_unique<whisk::Invoker>(
       sim_, broker_, registry_, controller_, config_.invoker, rng_.fork());
   const sim::SimTime warmup = sim::SimTime::seconds(warmup_.sample(rng_));
@@ -302,14 +312,7 @@ void JobManager::on_pilot_end(const slurm::JobRecord& rec,
   // failure / forced kill): local state is lost.
   if (pilot.phase() == PilotJob::Phase::kServing) ++counters_.hard_killed;
   pilot.on_job_end();
-
-  switch (reason) {
-    case slurm::EndReason::kPreempted: ++counters_.preempted; break;
-    case slurm::EndReason::kTimeLimit: ++counters_.timed_out; break;
-    case slurm::EndReason::kCompleted: ++counters_.completed; break;
-    case slurm::EndReason::kNodeFailed: ++counters_.node_failed; break;
-    case slurm::EndReason::kCancelled: ++counters_.cancelled; break;
-  }
+  count_end(reason);
 
   // This callback may be running inside the pilot's own drain-completion
   // chain; defer destruction to a safe point.
@@ -317,6 +320,16 @@ void JobManager::on_pilot_end(const slurm::JobRecord& rec,
   pilots_.erase(it);
   if (graveyard_.size() == 1) {
     sim_.at(sim_.now(), [this] { graveyard_.clear(); });
+  }
+}
+
+void JobManager::count_end(slurm::EndReason reason) {
+  switch (reason) {
+    case slurm::EndReason::kPreempted: ++counters_.preempted; break;
+    case slurm::EndReason::kTimeLimit: ++counters_.timed_out; break;
+    case slurm::EndReason::kCompleted: ++counters_.completed; break;
+    case slurm::EndReason::kNodeFailed: ++counters_.node_failed; break;
+    case slurm::EndReason::kCancelled: ++counters_.cancelled; break;
   }
 }
 

@@ -18,12 +18,13 @@ struct Fixture {
   whisk::Controller controller{sim, broker, registry};
   slurm::Slurmctld ctld;
 
-  Fixture(std::uint32_t nodes = 4)
+  explicit Fixture(std::uint32_t nodes = 4,
+                   SimTime launch_latency = SimTime::zero())
       : ctld{sim,
-             [nodes] {
+             [nodes, launch_latency] {
                slurm::Slurmctld::Config cfg;
                cfg.node_count = nodes;
-               cfg.launch_latency = SimTime::zero();
+               cfg.launch_latency = launch_latency;
                cfg.min_pass_gap = SimTime::zero();
                return cfg;
              }(),
@@ -200,6 +201,39 @@ TEST(JobManager, WarmupDurationsRecorded) {
     EXPECT_GT(w, SimTime::zero());
     EXPECT_LT(w, SimTime::minutes(2));
   }
+}
+
+TEST(JobManager, PilotPreemptedBeforeStartExitsUnserved) {
+  // A SIGTERM inside the launch latency reaches the manager before the
+  // pilot exists. The pilot must exit at once and count as never served
+  // — not warm up, serve, and get SIGKILLed at the grace deadline.
+  Fixture f{1, SimTime::millis(200)};
+  JobManager::Config cfg;
+  cfg.fib_lengths = {SimTime::minutes(60)};
+  cfg.fib_per_length = 1;
+  auto manager = f.make_manager(cfg);
+  manager.start();  // the pilot launches at t=0, its on_start at 0.2 s
+
+  slurm::JobSpec hpc;
+  hpc.partition = "hpc";
+  hpc.num_nodes = 1;
+  hpc.time_limit = SimTime::minutes(10);
+  hpc.actual_runtime = SimTime::minutes(10);
+  slurm::JobId h = 0;
+  f.sim.at(SimTime::millis(100), [&] { h = f.ctld.submit(hpc); });
+  f.sim.run_until(SimTime::minutes(1));
+
+  ASSERT_NE(h, 0u);
+  EXPECT_EQ(f.ctld.job(h).state, slurm::JobState::kRunning);
+  EXPECT_LT(f.ctld.job(h).start_time, SimTime::seconds(1));
+  const auto& c = manager.counters();
+  EXPECT_EQ(c.started, 1u);
+  EXPECT_EQ(c.preempted, 1u);
+  EXPECT_EQ(c.hard_killed, 0u);
+  EXPECT_EQ(manager.active_pilots(), 0u);
+  EXPECT_EQ(manager.harvest().pilots_never_served, 1u);
+  EXPECT_EQ(manager.harvest().pilots_served, 0u);
+  EXPECT_TRUE(manager.serving_durations().empty());
 }
 
 }  // namespace
