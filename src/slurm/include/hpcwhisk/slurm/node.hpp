@@ -37,7 +37,9 @@ struct Node {
   /// most one job runs on a node there.
   TresVector capacity{};
   TresVector allocated{};  ///< Σ per-node TRES of running/completing jobs
-  std::vector<JobId> running_jobs{};  ///< jobs holding part of this node
+  /// Jobs holding part of this node (records are owned by Slurmctld and
+  /// never move or die while it lives).
+  std::vector<JobRecord*> running_jobs{};
 };
 
 }  // namespace hpcwhisk::slurm

@@ -305,8 +305,17 @@ class Slurmctld {
     /// desc, id asc). With whole-node requests these are the idle nodes
     /// in LIFO reuse order; pilots walk the list backwards (cold first).
     std::vector<NodeId> open;
-    /// Nodes running at least one preemptible job, in id order.
-    std::vector<NodeId> preemptable;
+    /// Nodes running at least one preemptible job, in id order, each
+    /// with its running preemptible residents as the [first, last) range
+    /// of `residents`, in eviction order: lowest tier first, youngest
+    /// first within a tier.
+    struct Preemptable {
+      NodeId node;
+      std::size_t first;
+      std::size_t last;
+    };
+    std::vector<Preemptable> preemptable;
+    std::vector<const JobRecord*> residents;
   };
 
   // Scheduling pipeline.
@@ -388,6 +397,8 @@ class Slurmctld {
   Config config_;
   std::unordered_map<std::string, Partition> partitions_;
   std::vector<Node> nodes_;
+  /// Every job ever submitted; never erased, so Node::running_jobs can
+  /// point into it (map nodes keep their address across rehashing).
   std::unordered_map<JobId, JobRecord> jobs_;
   /// Pending jobs per tier (descending tier order via std::greater);
   /// each queue kept sorted by (priority desc, id asc).
@@ -440,7 +451,7 @@ class Slurmctld {
     std::size_t last;
   };
   std::vector<VictimNode> victim_nodes_scratch_;
-  std::vector<JobId> victim_pool_scratch_;
+  std::vector<const JobRecord*> victim_pool_scratch_;
 
   // --- Fidelity state ----------------------------------------------------
   bool tres_on_{false};

@@ -65,6 +65,15 @@ sim::SimTime floor_to_slot(sim::SimTime t, sim::SimTime slot) {
 /// every job requests in full — exclusive allocation as the
 /// full-capacity case of TRES packing.
 constexpr TresVector kWholeNode{1, 0, 0};
+
+/// Eviction order within a node: lowest tier first, youngest first
+/// within a tier (the least accumulated work is lost).
+bool evicts_before(const JobRecord* a, const JobRecord* b) {
+  if (a->preempt_tier != b->preempt_tier)
+    return a->preempt_tier < b->preempt_tier;
+  if (a->start_time != b->start_time) return a->start_time > b->start_time;
+  return a->id > b->id;
+}
 }  // namespace
 
 Slurmctld::Slurmctld(sim::Simulation& simulation, Config config,
@@ -226,10 +235,9 @@ void Slurmctld::set_node_down(NodeId id) {
   requeue_claimant(id);
   if (node.state == NodeState::kAllocated) {
     ++counters_.node_failures;
-    const std::vector<JobId> doomed = node.running_jobs;
-    for (const JobId jid : doomed) {
-      JobRecord& rec = jobs_.at(jid);
-      if (rec.is_active()) finish_job(rec, EndReason::kNodeFailed);
+    const std::vector<JobRecord*> doomed = node.running_jobs;
+    for (JobRecord* rec : doomed) {
+      if (rec->is_active()) finish_job(*rec, EndReason::kNodeFailed);
     }
   }
   node.state = NodeState::kDown;
@@ -255,11 +263,10 @@ void Slurmctld::fail_node(NodeId id, sim::SimTime grace) {
   // Like a maintenance drain, the node leaves service once its jobs are
   // gone — but here they are being killed on a truncated clock.
   draining_[id] = true;
-  const std::vector<JobId> doomed = node.running_jobs;
-  for (const JobId jid : doomed) {
-    JobRecord& rec = jobs_.at(jid);
-    if (rec.state == JobState::kRunning)
-      begin_grace(rec, EndReason::kNodeFailed, grace);
+  const std::vector<JobRecord*> doomed = node.running_jobs;
+  for (JobRecord* rec : doomed) {
+    if (rec->state == JobState::kRunning)
+      begin_grace(*rec, EndReason::kNodeFailed, grace);
     // kCompleting: a grace window is already running with an earlier-or-
     // equal partition deadline; the node goes down when the job leaves.
   }
@@ -334,8 +341,8 @@ ObservedNodeState Slurmctld::observed_state(NodeId id) const {
     case NodeState::kAllocated:
       // Prime HPC work dominates the observed role: the paper's sinfo
       // perspective reports a shared node as busy with HPC.
-      for (const JobId jid : node.running_jobs) {
-        if (jobs_.at(jid).priority_tier != 0) return ObservedNodeState::kHpc;
+      for (const JobRecord* rec : node.running_jobs) {
+        if (rec->priority_tier != 0) return ObservedNodeState::kHpc;
       }
       return ObservedNodeState::kPilot;
   }
@@ -408,12 +415,11 @@ void Slurmctld::build_availability_into(std::int32_t tier,
     } else if (node.state == NodeState::kAllocated) {
       // Free when the last resident `tier` cannot preempt is expected
       // out; preemptable residents are transparent.
-      for (const JobId jid : node.running_jobs) {
-        const JobRecord& rec = jobs_.at(jid);
-        if (rec.preemptible && rec.preempt_tier < tier) continue;
-        sim::SimTime expected = rec.expected_end();
-        if (rec.state == JobState::kCompleting)
-          expected = std::min(expected, rec.end_time);
+      for (const JobRecord* rec : node.running_jobs) {
+        if (rec->preemptible && rec->preempt_tier < tier) continue;
+        sim::SimTime expected = rec->expected_end();
+        if (rec->state == JobState::kCompleting)
+          expected = std::min(expected, rec->end_time);
         free_at = std::max(free_at, expected);
       }
     }
@@ -449,19 +455,22 @@ bool Slurmctld::fits_better(NodeId a, NodeId b) const {
 void Slurmctld::build_pass_cache(PassCache& cache) const {
   cache.open.clear();
   cache.preemptable.clear();
+  cache.residents.clear();
   const bool any_claims = !node_claims_.empty();
   for (const Node& node : nodes_) {
     if (node.state == NodeState::kDown || draining_[node.id]) continue;
     if (any_claims && node_claims_.contains(node.id)) continue;
     if (!(node.capacity - node.allocated).is_zero())
       cache.open.push_back(node.id);
-    for (const JobId jid : node.running_jobs) {
-      const JobRecord& rec = jobs_.at(jid);
-      if (rec.preemptible && rec.state == JobState::kRunning) {
-        cache.preemptable.push_back(node.id);
-        break;
-      }
+    const std::size_t first = cache.residents.size();
+    for (const JobRecord* rec : node.running_jobs) {
+      if (rec->preemptible && rec->state == JobState::kRunning)
+        cache.residents.push_back(rec);
     }
+    if (cache.residents.size() == first) continue;
+    std::sort(cache.residents.begin() + static_cast<std::ptrdiff_t>(first),
+              cache.residents.end(), evicts_before);
+    cache.preemptable.push_back({node.id, first, cache.residents.size()});
   }
   // Best fit first: partial nodes fill up before idle nodes are broken
   // open, and among equals the most recently freed goes first (LIFO
@@ -619,56 +628,52 @@ bool Slurmctld::try_start(JobRecord& rec, PassCache& cache,
   }
 
   // Preemption completes the allocation on nodes where evicting strictly-
-  // lower-tier running preemptible jobs frees enough TRES. Nodes go
-  // youngest victim first — the least accumulated serving time is lost,
-  // and long-lived workers (warm containers, long queues) survive,
-  // matching the long-serving invoker tail the paper reports. Within a
-  // node the lowest tier dies first, youngest first within a tier.
+  // lower-tier running preemptible jobs, in the node's eviction order,
+  // frees enough TRES. Nodes go youngest victim first — the least
+  // accumulated serving time is lost, and long-lived workers (warm
+  // containers, long queues) survive, matching the long-serving invoker
+  // tail the paper reports.
   std::vector<VictimNode>& candidates = victim_nodes_scratch_;
-  std::vector<JobId>& pool = victim_pool_scratch_;
+  std::vector<const JobRecord*>& pool = victim_pool_scratch_;
   candidates.clear();
   pool.clear();
   if (chosen.size() < want_nodes) {
     for (std::size_t i = 0; i < cache.preemptable.size(); ++i) {
-      const NodeId n = cache.preemptable[i];
-      TresVector freeable = node_free(n);
-      if (want.fits_within(freeable) || !usable(n)) continue;
+      const PassCache::Preemptable& p = cache.preemptable[i];
+      TresVector freeable = node_free(p.node);
+      if (want.fits_within(freeable) || !usable(p.node)) continue;
       const std::size_t first = pool.size();
-      for (const JobId jid : nodes_[n].running_jobs) {
-        const JobRecord& v = jobs_.at(jid);
-        if (v.preemptible && v.state == JobState::kRunning &&
-            v.preempt_tier < rec.preempt_tier) {
-          pool.push_back(jid);
-        }
-      }
-      std::sort(pool.begin() + static_cast<std::ptrdiff_t>(first), pool.end(),
-                [this](JobId a, JobId b) {
-                  const JobRecord& x = jobs_.at(a);
-                  const JobRecord& y = jobs_.at(b);
-                  if (x.preempt_tier != y.preempt_tier)
-                    return x.preempt_tier < y.preempt_tier;
-                  if (x.start_time != y.start_time)
-                    return x.start_time > y.start_time;
-                  return a > b;
-                });
-      std::size_t last = first;
       sim::SimTime youngest = sim::SimTime::zero();
-      while (last < pool.size() && !want.fits_within(freeable)) {
-        const JobRecord& v = jobs_.at(pool[last++]);
-        freeable += v.spec.tres_per_node;
-        youngest = std::max(youngest, v.start_time);
+      for (std::size_t k = p.first; k < p.last && !want.fits_within(freeable);
+           ++k) {
+        const JobRecord* v = cache.residents[k];
+        if (v->state != JobState::kRunning ||
+            v->preempt_tier >= rec.preempt_tier) {
+          continue;
+        }
+        pool.push_back(v);
+        freeable += v->spec.tres_per_node;
+        youngest = std::max(youngest, v->start_time);
       }
-      pool.resize(want.fits_within(freeable) ? last : first);
-      if (pool.size() > first) candidates.push_back({youngest, i, first, last});
+      if (want.fits_within(freeable)) {
+        candidates.push_back({youngest, i, first, pool.size()});
+      } else {
+        pool.resize(first);
+      }
     }
-    if (chosen.size() + candidates.size() < want_nodes) return false;
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const VictimNode& a, const VictimNode& b) {
-                       return a.youngest > b.youngest;
-                     });
-    candidates.resize(want_nodes - chosen.size());
+    const std::size_t missing = want_nodes - chosen.size();
+    if (candidates.size() < missing) return false;
+    std::partial_sort(candidates.begin(),
+                      candidates.begin() + static_cast<std::ptrdiff_t>(missing),
+                      candidates.end(),
+                      [](const VictimNode& a, const VictimNode& b) {
+                        if (a.youngest != b.youngest)
+                          return a.youngest > b.youngest;
+                        return a.index < b.index;
+                      });
+    candidates.resize(missing);
     for (const VictimNode& c : candidates)
-      chosen.push_back(cache.preemptable[c.index]);
+      chosen.push_back(cache.preemptable[c.index].node);
   }
 
   // Variable-length jobs: size to the nearest hole on the chosen nodes.
@@ -706,15 +711,19 @@ bool Slurmctld::try_start(JobRecord& rec, PassCache& cache,
   for (const VictimNode& c : candidates) {
     for (std::size_t k = c.first; k < c.last; ++k) {
       // A multi-node victim can be credited to several chosen nodes.
-      if (std::find(victims.begin(), victims.end(), pool[k]) == victims.end())
-        victims.push_back(pool[k]);
+      if (std::find(victims.begin(), victims.end(), pool[k]->id) ==
+          victims.end()) {
+        victims.push_back(pool[k]->id);
+      }
     }
   }
   const auto claimed = [&chosen](NodeId n) {
     return std::find(chosen.begin(), chosen.end(), n) != chosen.end();
   };
   std::erase_if(cache.open, claimed);
-  std::erase_if(cache.preemptable, claimed);
+  std::erase_if(cache.preemptable, [&claimed](const PassCache::Preemptable& p) {
+    return claimed(p.node);
+  });
 
   // Preempt victims and park the job until they are gone.
   PendingLaunch pl;
@@ -821,7 +830,7 @@ void Slurmctld::launch(JobRecord& rec, std::vector<NodeId> nodes,
     assert(node.state != NodeState::kDown);
     const ObservedNodeState prev = observed_state(n);
     node.allocated += rec.spec.tres_per_node;
-    node.running_jobs.push_back(rec.id);
+    node.running_jobs.push_back(&rec);
     node.state = NodeState::kAllocated;
     if (observed_state(n) != prev) announce(n);
   }
@@ -969,7 +978,7 @@ void Slurmctld::free_nodes(const JobRecord& rec) {
     Node& node = nodes_.at(n);
     if (node.state == NodeState::kDown) continue;  // failed underneath us
     auto& rj = node.running_jobs;
-    const auto it = std::find(rj.begin(), rj.end(), rec.id);
+    const auto it = std::find(rj.begin(), rj.end(), &rec);
     if (it == rj.end()) continue;
     const ObservedNodeState prev = observed_state(n);
     rj.erase(it);
@@ -1094,11 +1103,10 @@ void Slurmctld::reservation_window_begin(std::size_t index) {
     // Jobs still on the node (the reservation was registered after they
     // launched): preempt with the partition grace. Completing jobs are
     // already on their way out.
-    std::vector<JobId> doomed = node.running_jobs;
-    for (const JobId jid : doomed) {
-      const auto jit = jobs_.find(jid);
-      if (jit != jobs_.end() && jit->second.state == JobState::kRunning)
-        begin_grace(jit->second, EndReason::kPreempted);
+    const std::vector<JobRecord*> doomed = node.running_jobs;
+    for (JobRecord* rec : doomed) {
+      if (rec->state == JobState::kRunning)
+        begin_grace(*rec, EndReason::kPreempted);
     }
   }
 }
@@ -1188,12 +1196,11 @@ Slurmctld::TresTotals Slurmctld::tres_totals() const {
   for (const Node& node : nodes_) {
     if (node.state == NodeState::kDown) continue;
     t.capacity += node.capacity;
-    for (const JobId jid : node.running_jobs) {
-      const JobRecord& rec = jobs_.at(jid);
-      if (rec.priority_tier == 0) {
-        t.pilot += rec.spec.tres_per_node;
+    for (const JobRecord* rec : node.running_jobs) {
+      if (rec->priority_tier == 0) {
+        t.pilot += rec->spec.tres_per_node;
       } else {
-        t.hpc += rec.spec.tres_per_node;
+        t.hpc += rec->spec.tres_per_node;
       }
     }
   }
