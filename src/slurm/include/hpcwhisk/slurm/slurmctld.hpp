@@ -273,8 +273,9 @@ class Slurmctld {
   void schedule_now();
 
   /// Availability timeline: for every node, when the scheduler expects it
-  /// to be free (now for idle; the last resident's expected end for busy
-  /// nodes; `now` for nodes held only by jobs preemptable by `tier`).
+  /// to be free: now for idle nodes, max() for down ones, else the latest
+  /// expected end among residents `tier` cannot preempt (now if all of
+  /// them are preemptable by it).
   struct Availability {
     std::vector<sim::SimTime> free_at;  // per node, for HPC planning
   };
