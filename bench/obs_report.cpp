@@ -14,12 +14,18 @@
 //    obs::looks_like_perfetto_json (CI additionally parses it with
 //    python3 when available).
 //
+// Cost is reported per run (untraced_run_s / traced_run_s: best-of-N
+// seconds on the bench clock, process CPU time where available), not
+// per event: idle invokers are not simulated tick by tick, so events/s
+// no longer tracks the work done.
+//
 //   HW_BENCH_QUICK=1        quarter-scale run (CI smoke)
 //   HW_OBS_REPS=<n>         timed reps per arm, best-of (default 5)
 //   HW_SEED=<n>             base RNG seed (default 1)
 //   HW_OBS_OUT=<p>          report path (default BENCH_obs.json)
 //   HW_OBS_TRACE_OUT=<p>    Perfetto trace path (default obs_trace.json)
 //   HW_OBS_METRICS_OUT=<p>  metrics JSONL path (default obs_metrics.jsonl)
+//   HW_OBS_LOG_OUT=<p>      also write the untraced decision log there
 
 #include <algorithm>
 #include <chrono>
@@ -135,10 +141,11 @@ void measure_rep(RunOutcome& out, const bench::ExperimentConfig& cfg,
   if (rep == 0 || wall < out.wall_s) out.wall_s = wall;
 }
 
-void finalize_log(RunOutcome& out) {
+void finalize_log(RunOutcome& out, const char* dump_path = nullptr) {
   const std::string log = decision_log(out.result);
   out.log_hash = obs::fnv1a(log);
   out.log_bytes = log.size();
+  if (dump_path != nullptr) std::ofstream{dump_path} << log;
 }
 
 std::string fmt_num(double v) {
@@ -203,7 +210,7 @@ int main() {
     std::cout << "rep " << (rep + 1) << "/" << reps << ": traced...\n";
     measure_rep(traced, traced_cfg, rep);
   }
-  finalize_log(untraced);
+  finalize_log(untraced, std::getenv("HW_OBS_LOG_OUT"));
   finalize_log(traced);
 
   const bool logs_identical = untraced.log_hash == traced.log_hash &&
@@ -275,6 +282,8 @@ int main() {
   std::ofstream json{out_path};
   bench::write_meta_header(json, "obs_report", quick, cfg.seed);
   json << "  \"events\": " << events << ",\n"
+       << "  \"untraced_run_s\": " << fmt_num(untraced.wall_s) << ",\n"
+       << "  \"traced_run_s\": " << fmt_num(traced.wall_s) << ",\n"
        << "  \"untraced_events_per_sec\": " << fmt_num(untraced_eps) << ",\n"
        << "  \"traced_events_per_sec\": " << fmt_num(traced_eps) << ",\n"
        << "  \"traced_overhead\": " << fmt_num(traced_overhead) << ",\n"

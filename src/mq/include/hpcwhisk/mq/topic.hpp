@@ -13,6 +13,12 @@
 // a caller-owned scratch vector, so a steady-state poll tick performs
 // zero allocations.
 //
+// Wake-up: a consumer that stops polling an empty topic arms a one-shot
+// Waiter, which fires on the topic's next empty -> non-empty transition
+// (every delivery path, fault-delayed copies included). Waiters fire in
+// arming order; one armed by a firing callback waits for the next
+// transition.
+//
 // Fault injection: an optional fault filter intercepts every publish and
 // may drop, delay, or duplicate the message — the broker-level failure
 // modes an at-least-once pipeline must survive. The filter is consulted
@@ -56,10 +62,39 @@ class TopicId {
 
 class Topic {
  public:
+  /// One-shot wake-up hook, owned by the consumer. Armed on at most one
+  /// topic at a time; disarms itself when it fires, when cancelled and
+  /// when destroyed, so the owner may die while it is armed.
+  class Waiter {
+   public:
+    explicit Waiter(std::function<void()> on_wake)
+        : on_wake_{std::move(on_wake)} {}
+    ~Waiter() { cancel(); }
+    Waiter(const Waiter&) = delete;
+    Waiter& operator=(const Waiter&) = delete;
+
+    [[nodiscard]] bool armed() const { return topic_ != nullptr; }
+    /// Disarms without firing. Idempotent.
+    void cancel();
+
+   private:
+    friend class Topic;
+    std::function<void()> on_wake_;
+    Topic* topic_{nullptr};
+    Waiter* prev_{nullptr};
+    Waiter* next_{nullptr};
+    std::uint64_t epoch_{0};  ///< the topic's wake epoch when armed
+  };
+
   explicit Topic(std::string name) : name_{std::move(name)} {}
+  ~Topic();
 
   Topic(const Topic&) = delete;
   Topic& operator=(const Topic&) = delete;
+
+  /// Arms `w` to fire on this topic's next empty -> non-empty transition.
+  /// No-op if `w` is already armed here; re-arms it if armed elsewhere.
+  void add_waiter(Waiter& w);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   /// The broker-assigned intern id; invalid for free-standing topics.
@@ -140,6 +175,10 @@ class Topic {
   /// Enqueues one copy, bypassing the fault filter.
   void deliver(Message msg, sim::SimTime now);
   void deliver_front(Message msg, sim::SimTime now);
+  /// Fires, in arming order, every waiter armed before the call.
+  void wake_waiters();
+  /// Unlinks `w` from the waiter list; caller holds mu_.
+  void unlink_locked(Waiter& w);
 
   const std::string name_;
   TopicId id_;
@@ -150,6 +189,10 @@ class Topic {
   FaultFilter fault_filter_;
   sim::Simulation* sim_{nullptr};
   Counters counters_;
+  /// Armed waiters, intrusive FIFO list (guarded by mu_).
+  Waiter* waiters_head_{nullptr};
+  Waiter* waiters_tail_{nullptr};
+  std::uint64_t wake_epoch_{0};
 };
 
 }  // namespace hpcwhisk::mq

@@ -4,6 +4,62 @@
 
 namespace hpcwhisk::mq {
 
+void Topic::Waiter::cancel() {
+  if (topic_ == nullptr) return;
+  std::lock_guard lock{topic_->mu_};
+  topic_->unlink_locked(*this);
+}
+
+Topic::~Topic() {
+  std::lock_guard lock{mu_};
+  while (waiters_head_ != nullptr) unlink_locked(*waiters_head_);
+}
+
+void Topic::add_waiter(Waiter& w) {
+  if (w.topic_ == this) return;
+  w.cancel();
+  std::lock_guard lock{mu_};
+  w.topic_ = this;
+  w.epoch_ = wake_epoch_;
+  w.prev_ = waiters_tail_;
+  w.next_ = nullptr;
+  if (waiters_tail_ != nullptr) {
+    waiters_tail_->next_ = &w;
+  } else {
+    waiters_head_ = &w;
+  }
+  waiters_tail_ = &w;
+}
+
+void Topic::unlink_locked(Waiter& w) {
+  if (w.prev_ != nullptr) {
+    w.prev_->next_ = w.next_;
+  } else {
+    waiters_head_ = w.next_;
+  }
+  if (w.next_ != nullptr) {
+    w.next_->prev_ = w.prev_;
+  } else {
+    waiters_tail_ = w.prev_;
+  }
+  w.topic_ = nullptr;
+  w.prev_ = w.next_ = nullptr;
+}
+
+void Topic::wake_waiters() {
+  // Callbacks run unlocked and may cancel or arm any waiter; the epoch
+  // stops the loop at waiters they armed.
+  std::unique_lock lock{mu_};
+  const std::uint64_t epoch = ++wake_epoch_;
+  while (waiters_head_ != nullptr && waiters_head_->epoch_ < epoch) {
+    Waiter& w = *waiters_head_;
+    unlink_locked(w);
+    lock.unlock();
+    w.on_wake_();
+    lock.lock();
+  }
+}
+
 void Topic::publish(Message msg, sim::SimTime now) {
   FaultAction action;
   bool filtered = false;
@@ -83,22 +139,32 @@ void Topic::publish_front(Message msg, sim::SimTime now) {
 }
 
 void Topic::deliver(Message msg, sim::SimTime now) {
-  std::lock_guard lock{mu_};
-  if (msg.delivery_count == 0) msg.first_published = now;
-  ++msg.delivery_count;
-  queue_.push_back(std::move(msg));
-  approx_size_.store(queue_.size(), std::memory_order_relaxed);
-  ++counters_.published;
+  bool wake;
+  {
+    std::lock_guard lock{mu_};
+    if (msg.delivery_count == 0) msg.first_published = now;
+    ++msg.delivery_count;
+    wake = queue_.empty() && waiters_head_ != nullptr;
+    queue_.push_back(std::move(msg));
+    approx_size_.store(queue_.size(), std::memory_order_relaxed);
+    ++counters_.published;
+  }
+  if (wake) wake_waiters();
 }
 
 void Topic::deliver_front(Message msg, sim::SimTime now) {
-  std::lock_guard lock{mu_};
-  if (msg.delivery_count == 0) msg.first_published = now;
-  ++msg.delivery_count;
-  queue_.push_front(std::move(msg));
-  approx_size_.store(queue_.size(), std::memory_order_relaxed);
-  ++counters_.published;
-  ++counters_.front_published;
+  bool wake;
+  {
+    std::lock_guard lock{mu_};
+    if (msg.delivery_count == 0) msg.first_published = now;
+    ++msg.delivery_count;
+    wake = queue_.empty() && waiters_head_ != nullptr;
+    queue_.push_front(std::move(msg));
+    approx_size_.store(queue_.size(), std::memory_order_relaxed);
+    ++counters_.published;
+    ++counters_.front_published;
+  }
+  if (wake) wake_waiters();
 }
 
 void Topic::set_fault_filter(FaultFilter filter, sim::Simulation* simulation) {

@@ -132,14 +132,17 @@ class ContainerPool {
 
   /// Tops the stem-cell pool back up to prewarm_count (capacity
   /// permitting; stem cells never evict warm containers). Call
-  /// periodically (the invoker does so from its poll loop). The common
+  /// periodically (the invoker does so on every poll tick). The common
   /// case — pool already topped up — returns after one inline size
   /// check, so the per-tick cost is a compare, not a call.
   void maintain_prewarm(sim::SimTime now) {
-    if (prewarmed_.size() >= config_.prewarm_count ||
-        config_.prewarm_kind.empty())
-      return;
+    if (prewarm_full()) return;
     refill_prewarm(now);
+  }
+  /// Whether maintain_prewarm() has nothing to do.
+  [[nodiscard]] bool prewarm_full() const {
+    return prewarmed_.size() >= config_.prewarm_count ||
+           config_.prewarm_kind.empty();
   }
 
   /// Marks a previously acquired container busy (call when its start

@@ -3,16 +3,24 @@
 //
 // Events scheduled for the same instant fire in schedule order (FIFO),
 // which makes every simulation run bit-reproducible for a fixed seed.
+// Each entry carries the clock reading it was scheduled at; since that
+// reading only grows, ordering by (time, scheduled_at, rank, seq) is the
+// same FIFO order for ordinary events (rank 0). A grid firing that its
+// owner skipped ahead of (Simulation::at_grid) is scheduled late but
+// stamped with the instant a simulated periodic loop would have armed it
+// at, and ranked among the other grid firings of that instant, so it
+// takes the very slot in the FIFO order that the loop's firing had.
 //
 // Storage is a slab of callback slots indexed by a free list; the heap
-// holds (time, seq, slot) triples only. The callbacks themselves are
-// InplaceCallback<64>: typical closures (a this-pointer plus a couple of
-// ids) live inline in the slab and scheduling never allocates.
+// holds 40-byte (time, scheduled_at, rank, seq, slot) keys only. The
+// callbacks themselves are InplaceCallback<64>: typical closures (a
+// this-pointer plus a couple of ids) live inline in the slab and
+// scheduling never allocates.
 //
 // The heap is a 4-ary implicit min-heap: half the levels of a binary
-// heap, and the four children of a node share at most two cache lines,
-// so the sift-down that dominates pop() touches far less memory. Because
-// (when, seq) is a total order, any correct priority queue pops the same
+// heap, and the four children of a node are adjacent in memory, so the
+// sift-down that dominates pop() touches far less memory. Because the
+// key is a total order, any correct priority queue pops the same
 // sequence — the arity is invisible to simulation outcomes.
 //
 // pop() drains same-deadline runs in batches: the first pop of a
@@ -61,7 +69,12 @@ class EventQueue {
 
   /// Schedules `cb` to fire at absolute time `when`. `when` must not be
   /// earlier than the last popped time (enforced by Simulation, not here).
-  EventId schedule(SimTime when, Callback cb);
+  /// `scheduled_at` is the clock reading the event counts as scheduled
+  /// at; `rank` orders events sharing `when` and `scheduled_at` before
+  /// FIFO does (see the header comment). Both come back in Popped.
+  EventId schedule(SimTime when, Callback cb,
+                   SimTime scheduled_at = SimTime::zero(),
+                   std::int64_t rank = 0);
 
   /// Cancels a previously scheduled event. Returns false if the event
   /// already fired or was already cancelled. The callback (and anything
@@ -84,6 +97,8 @@ class EventQueue {
 
   struct Popped {
     SimTime when;
+    SimTime scheduled_at;
+    std::int64_t rank{0};
     Callback cb;
   };
 
@@ -115,13 +130,18 @@ class EventQueue {
 
   struct Entry {
     SimTime when;
+    SimTime scheduled_at;
+    std::int64_t rank;
     std::uint64_t seq;
     std::uint32_t slot;
   };
-  /// Total (when, seq) order: the pop sequence is unique, whatever the
-  /// container shape.
+  /// Total (when, scheduled_at, rank, seq) order: the pop sequence is
+  /// unique, whatever the container shape.
   static bool entry_before(const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when < b.when;
+    if (a.scheduled_at != b.scheduled_at)
+      return a.scheduled_at < b.scheduled_at;
+    if (a.rank != b.rank) return a.rank < b.rank;
     return a.seq < b.seq;
   }
 

@@ -5,6 +5,7 @@
 // the clock event by event. The driver is strictly single-threaded; all
 // determinism guarantees follow from EventQueue's FIFO tie-breaking.
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -63,7 +64,7 @@ class Simulation {
   /// Schedules `cb` at absolute time `when` (must be >= now()).
   EventId at(SimTime when, Callback cb) {
     if (when < now_) throw std::invalid_argument("Simulation::at: time in the past");
-    return queue_.schedule(when, std::move(cb));
+    return queue_.schedule(when, std::move(cb), now_);
   }
 
   /// Schedules `cb` to fire `delay` after the current time.
@@ -76,6 +77,40 @@ class Simulation {
   PeriodicHandle every(SimTime interval, Callback cb);
 
   bool cancel(EventId id) { return queue_.cancel(id); }
+
+  /// A periodic series whose firings its owner arms one at a time and
+  /// may skip while idle (a parked invoker's poll loop, lazy heartbeats):
+  /// it fires at origin + k*interval (k >= 1), and a simulated loop would
+  /// have armed each firing one interval before it.
+  struct Grid {
+    SimTime origin;
+    SimTime interval;
+    /// Place among other grids' firings at the same instant (birth order,
+    /// see start_grid()); 0 for a grid read but never armed.
+    std::int64_t rank{0};
+  };
+
+  /// Starts a grid at now(). A simulated loop started by this event
+  /// would arm its first firing before every older loop's firing at the
+  /// next instants iff this event was scheduled no later than
+  /// now() - interval (it then runs before their firings due now, which
+  /// were armed then); otherwise after all of them. The rank records that.
+  Grid start_grid(SimTime interval);
+
+  /// Arms the grid's firing at `when` (a grid instant >= now()) in the
+  /// slot of the simulated loop's firing: scheduled at when - interval,
+  /// and ranked among the other grids' firings of that instant.
+  EventId at_grid(const Grid& grid, SimTime when, Callback cb) {
+    if (when < now_) throw std::invalid_argument("Simulation::at_grid: time in the past");
+    return queue_.schedule(when, std::move(cb), when - grid.interval,
+                           grid.rank);
+  }
+
+  /// The earliest firing of `grid` that has not run as seen from the
+  /// current event. A firing due at exactly now() has run iff it sorts
+  /// before the current event (armed at now() - interval, then rank);
+  /// outside event dispatch every firing due at now() has run.
+  [[nodiscard]] SimTime next_grid_firing(const Grid& grid) const;
 
   /// Runs events until the queue is empty or the clock would pass `until`.
   /// Events scheduled exactly at `until` do fire; afterwards now() == until
@@ -111,6 +146,16 @@ class Simulation {
   void release_periodic(const detail::PeriodicState* st);
 
   SimTime now_{SimTime::zero()};
+  /// Order key of the event being dispatched (now_ and 0 between events).
+  SimTime scheduled_at_{SimTime::zero()};
+  std::int64_t rank_{0};
+  /// start_grid() ranks: births in front of the older grids count down in
+  /// blocks (one per instant, in birth order inside), births behind them
+  /// count up.
+  std::int64_t front_block_{0};
+  std::int64_t front_next_{0};
+  SimTime front_block_at_{SimTime::max()};
+  std::int64_t back_next_{0};
   EventQueue queue_;
   std::uint64_t executed_{0};
   std::vector<std::shared_ptr<detail::PeriodicState>> periodics_;

@@ -85,7 +85,8 @@ void EventQueue::rebuild_heap() {
 
 // --- Scheduling --------------------------------------------------------------
 
-EventId EventQueue::schedule(SimTime when, Callback cb) {
+EventId EventQueue::schedule(SimTime when, Callback cb, SimTime scheduled_at,
+                             std::int64_t rank) {
   const std::uint64_t seq = next_seq_++;
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
@@ -99,7 +100,7 @@ EventId EventQueue::schedule(SimTime when, Callback cb) {
   s.cb = std::move(cb);
   s.seq = seq;
   s.next_free = kNoSlot;
-  push_entry(Entry{when, seq, slot});
+  push_entry(Entry{when, scheduled_at, rank, seq, slot});
   ++live_;
   return EventId{seq, slot};
 }
@@ -109,7 +110,7 @@ bool EventQueue::cancel(EventId id) {
   Slot& s = slots_[id.slot_];
   if (s.seq != id.seq_) return false;  // already fired or cancelled
   // Eager reclamation: the callback (and its captures) dies now; only
-  // the 24-byte heap (or stage) entry lingers as a tombstone until
+  // the 40-byte heap (or stage) entry lingers as a tombstone until
   // drained.
   s.cb = nullptr;
   s.seq = 0;
@@ -190,6 +191,8 @@ SimTime EventQueue::next_time() const {
 
 void EventQueue::claim(const Entry& e, Popped& out) {
   out.when = e.when;
+  out.scheduled_at = e.scheduled_at;
+  out.rank = e.rank;
   out.cb = std::move(slots_[e.slot].cb);
   release_slot(e.slot);
   --live_;

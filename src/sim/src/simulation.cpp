@@ -98,11 +98,15 @@ void Simulation::run_until(SimTime until) {
   EventQueue::Popped p;
   while (queue_.pop_due(until, p)) {
     now_ = p.when;
+    scheduled_at_ = p.scheduled_at;
+    rank_ = p.rank;
     ++executed_;
     p.cb();
     p.cb.reset();
   }
   if (now_ < until) now_ = until;
+  scheduled_at_ = now_;
+  rank_ = 0;
 }
 
 void Simulation::run() {
@@ -114,8 +118,12 @@ bool Simulation::step() {
   EventQueue::Popped p;
   if (!queue_.pop_due(SimTime::max(), p)) return false;
   now_ = p.when;
+  scheduled_at_ = p.scheduled_at;
+  rank_ = p.rank;
   ++executed_;
   p.cb();
+  scheduled_at_ = now_;
+  rank_ = 0;
   return true;
 }
 
@@ -124,6 +132,40 @@ void Simulation::settle_to(SimTime t) {
   if (!queue_.empty() && queue_.next_time() < t)
     throw std::logic_error("Simulation::settle_to: pending earlier events");
   now_ = t;
+  scheduled_at_ = t;
+  rank_ = 0;
+}
+
+Simulation::Grid Simulation::start_grid(SimTime interval) {
+  if (interval <= SimTime::zero())
+    throw std::invalid_argument("Simulation::start_grid: non-positive interval");
+  // Rank blocks are 2^20 wide: a block holds one instant's front births.
+  constexpr std::int64_t kBlock = std::int64_t{1} << 20;
+  Grid grid{now_, interval, 0};
+  if (scheduled_at_ <= now_ - interval) {
+    if (front_block_at_ != now_) {
+      --front_block_;
+      front_next_ = 0;
+      front_block_at_ = now_;
+    }
+    grid.rank = front_block_ * kBlock + front_next_++;
+  } else {
+    grid.rank = ++back_next_ * kBlock;
+  }
+  return grid;
+}
+
+SimTime Simulation::next_grid_firing(const Grid& grid) const {
+  if (now_ <= grid.origin) return grid.origin + grid.interval;
+  const SimTime t =
+      grid.origin + grid.interval * ((now_ - grid.origin) / grid.interval);
+  if (t < now_) return t + grid.interval;
+  // The firing due now sorts (now - interval, rank) against the current
+  // event's (scheduled_at, rank); a full tie counts as not yet run.
+  const SimTime armed = now_ - grid.interval;
+  const bool ran = armed < scheduled_at_ ||
+                   (armed == scheduled_at_ && grid.rank < rank_);
+  return ran ? t + grid.interval : t;
 }
 
 }  // namespace hpcwhisk::sim

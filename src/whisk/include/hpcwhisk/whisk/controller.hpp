@@ -7,11 +7,18 @@
 // when an invoker announces departure the controller stops routing to it
 // and moves the unpulled backlog of its topic to the global fast lane.
 //
+// Heartbeats are lazy: an invoker announces when its periodic heartbeat
+// series starts and stops, and the watchdog derives the last beat from
+// that series' grid instead of receiving an event per beat. Membership
+// work is proportional to the live invokers, not to every invoker ever
+// registered (one per pilot, ~12k per simulated day).
+//
 // The controller is also the authoritative activation store: submission,
 // 503 rejection, execution progress, completion and timeouts are all
 // recorded here, which is what the paper calls the "OpenWhisk-level"
 // measurement perspective.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -85,8 +92,8 @@ struct SubmitResult {
 class Controller {
  public:
   struct Config {
-    /// Invokers ping this often; missing `heartbeat_miss_limit` pings in
-    /// a row marks the invoker unresponsive.
+    /// Invokers ping this often; missing `heartbeat_miss_limit` (>= 1)
+    /// pings in a row marks the invoker unresponsive.
     sim::SimTime heartbeat_interval{sim::SimTime::seconds(2)};
     std::uint32_t heartbeat_miss_limit{3};
     /// How often the watchdog sweeps the membership list.
@@ -156,7 +163,18 @@ class Controller {
   };
   void set_direct_invoke(InvokerId id, DirectSeam seam);
   void clear_direct_invoke(InvokerId id);
+  /// One explicit ping: records a beat now and readmits an unresponsive
+  /// invoker.
   void heartbeat(InvokerId id);
+  /// The invoker's periodic heartbeat series starts now: it beats every
+  /// heartbeat_interval until stop_heartbeats(). The beats are derived
+  /// (Simulation::next_grid_firing), not simulated, and a live series
+  /// never goes unresponsive because the watchdog deadline spans at
+  /// least one interval.
+  void start_heartbeats(InvokerId id);
+  /// The series stops now (stall, kill, drain done); its last beat
+  /// freezes and the watchdog counts silence from there.
+  void stop_heartbeats(InvokerId id);
   /// The invoker announces it is departing: routing stops and the
   /// unpulled backlog of its topic moves to the fast lane.
   void begin_drain(InvokerId id);
@@ -183,8 +201,12 @@ class Controller {
   // --- Introspection -------------------------------------------------------
 
   [[nodiscard]] static std::string invoker_topic_name(InvokerId id);
-  [[nodiscard]] std::size_t healthy_count() const;
-  [[nodiscard]] std::size_t count_with_health(InvokerHealth h) const;
+  [[nodiscard]] std::size_t healthy_count() const {
+    return count_with_health(InvokerHealth::kHealthy);
+  }
+  [[nodiscard]] std::size_t count_with_health(InvokerHealth h) const {
+    return health_counts_[static_cast<std::size_t>(h)];
+  }
   [[nodiscard]] InvokerHealth invoker_health(InvokerId id) const;
   [[nodiscard]] std::vector<InvokerId> healthy_invokers() const;
   /// Activations routed to `id` that have not reached a terminal state.
@@ -205,8 +227,10 @@ class Controller {
   }
 
   /// In-flight activations summed over all invokers (time-series hook).
-  [[nodiscard]] std::uint64_t total_in_flight() const;
-  /// Unpulled messages across every registered invoker topic plus the
+  [[nodiscard]] std::uint64_t total_in_flight() const {
+    return total_in_flight_;
+  }
+  /// Unpulled messages across every invoker topic not yet gone plus the
   /// fast lane. Takes each topic's lock — meant for the sampling cadence
   /// (seconds), not for per-event paths.
   [[nodiscard]] std::size_t queued_messages() const;
@@ -245,7 +269,10 @@ class Controller {
  private:
   struct InvokerEntry {
     InvokerHealth health{InvokerHealth::kHealthy};
+    /// Latest explicit or frozen beat; a live series adds its grid.
     sim::SimTime last_heartbeat;
+    sim::SimTime beat_origin;  ///< start of the live heartbeat series
+    bool beating{false};
     std::uint32_t in_flight{0};
     /// The invoker's topic, resolved once at registration: submit()
     /// publishes through this pointer instead of re-hashing
@@ -273,6 +300,11 @@ class Controller {
 
   ActivationRecord& record(ActivationId id);
   void finish(ActivationRecord& rec, ActivationState state);
+  /// The invoker's newest beat as of the current event.
+  [[nodiscard]] sim::SimTime last_beat(const InvokerEntry& entry) const;
+  /// The one place health changes: keeps healthy_, members_ and the
+  /// per-health counts in step with invokers_.
+  void set_health(InvokerId id, InvokerHealth health);
   void watchdog_sweep();
   /// Returns the ids of the activations it re-published.
   std::vector<ActivationId> move_backlog_to_fast_lane(InvokerId id);
@@ -282,21 +314,27 @@ class Controller {
   void rescue_in_flight(InvokerId id,
                         const std::vector<ActivationId>& already_rescued);
 
-  /// Healthy ids in ascending order, rebuilt lazily after a membership
-  /// or health change. Ascending order matches the std::map iteration
-  /// this replaced, so routing decisions are byte-identical.
-  [[nodiscard]] const std::vector<InvokerId>& healthy_view() const;
+  /// Healthy ids in ascending order. Ascending order matches the
+  /// std::map iteration this replaced, so routing decisions are
+  /// byte-identical.
+  [[nodiscard]] const std::vector<InvokerId>& healthy_view() const {
+    return healthy_;
+  }
 
   sim::Simulation& sim_;
   mq::Broker& broker_;
   const FunctionRegistry& registry_;
   Config config_;
   /// Dense, indexed by InvokerId (ids are sequential and entries are
-  /// never erased — deregistration parks them at kGone). Ascending scans
-  /// reproduce the ordered-map iteration exactly.
+  /// never erased — deregistration parks them at kGone).
   std::vector<InvokerEntry> invokers_;
-  mutable std::vector<InvokerId> healthy_cache_;
-  mutable bool healthy_dirty_{true};
+  /// Ascending id sets maintained by set_health(): the healthy invokers
+  /// (routing, watchdog) and every invoker not yet gone (queue depth).
+  std::vector<InvokerId> healthy_;
+  std::vector<InvokerId> members_;
+  std::array<std::size_t, 4> health_counts_{};
+  /// Sum of InvokerEntry::in_flight over all entries.
+  std::uint64_t total_in_flight_{0};
   std::vector<ActivationRecord> records_;       // index == ActivationId
   std::unordered_map<ActivationId, sim::EventId> timeout_events_;
   std::unordered_map<ActivationId, std::vector<CompletionCallback>>

@@ -7,6 +7,22 @@
 // global fast-lane topic, so requests re-issued by terminating workers
 // execute with the highest priority.
 //
+// The pull loop polls on a fixed grid, origin + k * poll_interval, where
+// the origin is the start (or the thaw after a stall). Most of a pilot's
+// life is idle, so the loop is event-driven on that grid: a tick that
+// leaves the fast lane, the own topic and the pull buffer empty with the
+// stem-cell pool full *parks* the invoker. A parked invoker holds no
+// tick event; one-shot waiters on both topics wake it on their next
+// empty -> non-empty transition, as does a direct hand-over that took a
+// stem cell, and it then
+// polls at the first grid tick the skipped loop had not yet run, in that
+// tick's place among same-instant events (Simulation::at_grid). With a
+// keep-alive reap cadence the next reap's grid tick stays armed while
+// parked. Non-empty polls thus happen at the same instants, in the same
+// order, as with a loop ticking every poll_interval. Heartbeats are lazy
+// the same way: the invoker only tells the controller when its heartbeat
+// series starts and stops.
+//
 // On SIGTERM the invoker performs the drain hand-off:
 //   1. tells the controller it no longer accepts work (the controller
 //      simultaneously rescues the unpulled backlog of its topic);
@@ -44,7 +60,8 @@ namespace hpcwhisk::whisk {
 class Invoker {
  public:
   struct Config {
-    /// Pull-loop cadence.
+    /// Pull-loop cadence: the spacing of the poll grid. Only ticks that
+    /// can find work are simulated (see the header comment).
     sim::SimTime poll_interval{sim::SimTime::millis(100)};
     /// Messages pulled per poll (fast lane + own topic combined).
     std::size_t pull_batch{8};
@@ -73,8 +90,9 @@ class Invoker {
   Invoker& operator=(const Invoker&) = delete;
   ~Invoker();
 
-  /// Registers with the controller and starts the pull + heartbeat loops.
-  /// Call once, after the pilot's warm-up completed.
+  /// Registers with the controller, starts the poll grid one interval
+  /// from now and the heartbeat series. Call once, after the pilot's
+  /// warm-up completed.
   void start();
 
   /// SIGTERM: runs the drain hand-off; `on_drained` fires when the last
@@ -94,9 +112,10 @@ class Invoker {
   /// draining, dead, or already stalled.
   void stall(sim::SimTime duration);
 
-  /// Ends a stall early (or on schedule): restarts the loops, heartbeats
-  /// immediately so the controller readmits us, and resumes suspended
-  /// executions with their preserved remaining time.
+  /// Ends a stall early (or on schedule): restarts the poll grid and the
+  /// heartbeat series from now, heartbeats immediately so the controller
+  /// readmits us, and resumes suspended executions with their preserved
+  /// remaining time.
   void resume();
 
   /// Whether a leased call for `spec` may be handed over right now:
@@ -113,7 +132,9 @@ class Invoker {
             pool_.can_admit(spec.memory_mb));
   }
   /// Direct hand-over of a leased call: starts execution immediately,
-  /// skipping the topic queue and the poll cadence entirely.
+  /// skipping the topic queue and the poll cadence entirely. Wakes a
+  /// parked invoker if the call took a stem cell, which the next grid
+  /// tick refills.
   void direct_invoke(mq::Message msg);
 
   [[nodiscard]] InvokerId id() const { return id_; }
@@ -121,6 +142,8 @@ class Invoker {
   [[nodiscard]] bool draining() const { return draining_; }
   [[nodiscard]] bool dead() const { return dead_; }
   [[nodiscard]] bool stalled() const { return stalled_; }
+  /// Idle between grid ticks with no poll armed (see the header comment).
+  [[nodiscard]] bool parked() const { return parked_; }
   [[nodiscard]] std::size_t running_executions() const { return running_.size(); }
   [[nodiscard]] std::size_t buffered_messages() const { return buffer_.size(); }
   [[nodiscard]] const runtime::ContainerPool& pool() const { return pool_; }
@@ -146,7 +169,19 @@ class Invoker {
     bool cold{false};
   };
 
+  /// One grid tick: poll(), then park or arm the next tick.
+  void tick();
   void poll();
+  /// Whether the tick that just ran leaves nothing for the next one.
+  [[nodiscard]] bool idle() const;
+  /// Arms the waiters (and the reap tick, if reaping); no poll until woken.
+  void park();
+  /// Leaves the parked state: the first grid tick not yet run polls.
+  void wake();
+  void unpark();
+  void arm_tick(sim::SimTime when);
+  /// First grid tick at or after `t`.
+  [[nodiscard]] sim::SimTime grid_ceil(sim::SimTime t) const;
   void dispatch_buffer();
   void begin_execution(mq::Message msg);
   /// Schedules the exec's next phase transition `delay` from now,
@@ -157,6 +192,8 @@ class Invoker {
   void on_exec_event(ActivationId act);
   void finish_drain_if_idle();
   void start_loops();
+  /// Cancels the armed tick and disarms the waiters.
+  void stop_ticking();
   void stop_loops();
 
   sim::Simulation& sim_;
@@ -173,8 +210,20 @@ class Invoker {
   std::vector<mq::Message> pull_scratch_;
   std::deque<mq::Message> buffer_;
   std::unordered_map<ActivationId, Exec> running_;
-  sim::PeriodicHandle poll_loop_;
-  sim::PeriodicHandle heartbeat_loop_;
+  /// Poll grid: origin + k * poll_interval, restarted on thaw.
+  sim::Simulation::Grid grid_;
+  /// Instant of the last tick that ran (a wake never re-polls it).
+  sim::SimTime last_tick_;
+  /// The armed grid tick; none while parked.
+  sim::EventId tick_event_;
+  /// With a reap cadence: the reap's due grid tick, armed while parked
+  /// (and left armed across wakes until a reap moves it).
+  sim::EventId reap_event_;
+  sim::SimTime reap_due_;
+  mq::Topic::Waiter own_waiter_{[this] { wake(); }};
+  mq::Topic::Waiter fast_waiter_{[this] { wake(); }};
+  bool ticking_{false};  ///< the poll grid is live (armed or parked)
+  bool parked_{false};
   bool started_{false};
   bool draining_{false};
   bool dead_{false};

@@ -54,6 +54,10 @@ const char* to_string(InvokerHealth h) {
 Controller::Controller(sim::Simulation& simulation, mq::Broker& broker,
                        const FunctionRegistry& registry, Config config)
     : sim_{simulation}, broker_{broker}, registry_{registry}, config_{config} {
+  if (config_.heartbeat_interval <= sim::SimTime::zero() ||
+      config_.heartbeat_miss_limit == 0)
+    throw std::invalid_argument(
+        "Controller: heartbeat_interval and heartbeat_miss_limit must be > 0");
   if (is_data_driven(config_.route_mode))
     scheduler_ = std::make_unique<sched::CallScheduler>(config_.sched);
   if (config_.lease.enabled)
@@ -175,6 +179,7 @@ SubmitResult Controller::submit(const std::string& function) {
   const InvokerId target = route(function, healthy);
   records_.back().routed_to = target;
   ++invokers_[target].in_flight;
+  ++total_in_flight_;
   if (scheduler_ && pending_decision_)
     scheduler_->on_routed(rec.id, *pending_decision_);
   HW_OBS_IF(config_.obs) {
@@ -251,6 +256,7 @@ SubmitResult Controller::submit_leased(const std::string& function,
   const InvokerId target = l.worker;
   rec.routed_to = target;
   ++invokers_[target].in_flight;
+  ++total_in_flight_;
   if (scheduler_) {
     // Charge the leased worker's ledger exactly as a routed call would
     // be, so the conservation audit and backlog predictions stay honest.
@@ -351,18 +357,9 @@ std::uint32_t Controller::in_flight(InvokerId id) const {
   return id < invokers_.size() ? invokers_[id].in_flight : 0;
 }
 
-std::uint64_t Controller::total_in_flight() const {
-  std::uint64_t n = 0;
-  for (const InvokerEntry& entry : invokers_) n += entry.in_flight;
-  return n;
-}
-
 std::size_t Controller::queued_messages() const {
   std::size_t n = broker_.fast_lane().size();
-  for (const InvokerEntry& entry : invokers_) {
-    if (entry.health != InvokerHealth::kGone && entry.topic != nullptr)
-      n += entry.topic->size();
-  }
+  for (const InvokerId id : members_) n += invokers_[id].topic->size();
   return n;
 }
 
@@ -374,13 +371,17 @@ const ActivationRecord& Controller::activation(ActivationId id) const {
 
 InvokerId Controller::register_invoker() {
   const InvokerId id = next_invoker_id_++;
-  InvokerEntry entry{InvokerHealth::kHealthy, sim_.now()};
+  InvokerEntry entry;
+  entry.last_heartbeat = sim_.now();
   // Resolve the topic once; every later publish to this invoker goes
   // through the cached handle (and the topic exists before any routing
   // decision targets it).
   entry.topic = broker_.resolve(invoker_topic_name(id)).get();
   invokers_.push_back(entry);
-  healthy_dirty_ = true;
+  // Ids only grow, so appending keeps both sets ascending.
+  healthy_.push_back(id);
+  members_.push_back(id);
+  ++health_counts_[static_cast<std::size_t>(InvokerHealth::kHealthy)];
   return id;
 }
 
@@ -403,19 +404,56 @@ void Controller::heartbeat(InvokerId id) {
   InvokerEntry& entry = invokers_[id];
   entry.last_heartbeat = sim_.now();
   // A previously unresponsive invoker that pings again is readmitted
-  // (does not happen with graceful pilots; kept for robustness).
-  if (entry.health == InvokerHealth::kUnresponsive) {
-    entry.health = InvokerHealth::kHealthy;
-    healthy_dirty_ = true;
+  // (a stalled invoker pings on thaw).
+  if (entry.health == InvokerHealth::kUnresponsive)
+    set_health(id, InvokerHealth::kHealthy);
+}
+
+void Controller::start_heartbeats(InvokerId id) {
+  if (id >= invokers_.size()) return;
+  InvokerEntry& entry = invokers_[id];
+  if (entry.beating) entry.last_heartbeat = last_beat(entry);
+  entry.beat_origin = sim_.now();
+  entry.beating = true;
+}
+
+void Controller::stop_heartbeats(InvokerId id) {
+  if (id >= invokers_.size()) return;
+  InvokerEntry& entry = invokers_[id];
+  if (!entry.beating) return;
+  entry.last_heartbeat = last_beat(entry);
+  entry.beating = false;
+}
+
+sim::SimTime Controller::last_beat(const InvokerEntry& entry) const {
+  if (!entry.beating) return entry.last_heartbeat;
+  const sim::SimTime h = config_.heartbeat_interval;
+  return std::max(entry.last_heartbeat,
+                  sim_.next_grid_firing({entry.beat_origin, h}) - h);
+}
+
+void Controller::set_health(InvokerId id, InvokerHealth health) {
+  InvokerEntry& entry = invokers_[id];
+  const InvokerHealth was = entry.health;
+  if (was == health) return;
+  entry.health = health;
+  --health_counts_[static_cast<std::size_t>(was)];
+  ++health_counts_[static_cast<std::size_t>(health)];
+  if (was == InvokerHealth::kHealthy) {
+    healthy_.erase(std::lower_bound(healthy_.begin(), healthy_.end(), id));
+  } else if (health == InvokerHealth::kHealthy) {
+    healthy_.insert(std::lower_bound(healthy_.begin(), healthy_.end(), id),
+                    id);
   }
+  if (health == InvokerHealth::kGone)
+    members_.erase(std::lower_bound(members_.begin(), members_.end(), id));
 }
 
 void Controller::begin_drain(InvokerId id) {
   if (id >= invokers_.size()) return;
   InvokerEntry& entry = invokers_[id];
   if (entry.health == InvokerHealth::kGone) return;
-  entry.health = InvokerHealth::kDraining;
-  healthy_dirty_ = true;
+  set_health(id, InvokerHealth::kDraining);
   // A departing invoker cannot honor its leases; later calls of the
   // leased functions route (and re-lease) elsewhere.
   revoke_leases_on(id);
@@ -424,8 +462,7 @@ void Controller::begin_drain(InvokerId id) {
 
 void Controller::deregister(InvokerId id) {
   if (id >= invokers_.size()) return;
-  invokers_[id].health = InvokerHealth::kGone;
-  healthy_dirty_ = true;
+  set_health(id, InvokerHealth::kGone);
   revoke_leases_on(id);
   // Any message published between drain and deregistration is rescued.
   move_backlog_to_fast_lane(id);
@@ -530,17 +567,6 @@ bool Controller::deliverable(ActivationId id) const {
   return !is_terminal(records_[id].state);
 }
 
-std::size_t Controller::healthy_count() const {
-  return count_with_health(InvokerHealth::kHealthy);
-}
-
-std::size_t Controller::count_with_health(InvokerHealth h) const {
-  std::size_t n = 0;
-  for (const InvokerEntry& entry : invokers_)
-    if (entry.health == h) ++n;
-  return n;
-}
-
 InvokerHealth Controller::invoker_health(InvokerId id) const {
   if (id >= invokers_.size())
     throw std::out_of_range("Controller::invoker_health: unknown id");
@@ -548,19 +574,7 @@ InvokerHealth Controller::invoker_health(InvokerId id) const {
 }
 
 std::vector<InvokerId> Controller::healthy_invokers() const {
-  return healthy_view();
-}
-
-const std::vector<InvokerId>& Controller::healthy_view() const {
-  if (healthy_dirty_) {
-    healthy_cache_.clear();
-    for (std::size_t id = 0; id < invokers_.size(); ++id) {
-      if (invokers_[id].health == InvokerHealth::kHealthy)
-        healthy_cache_.push_back(static_cast<InvokerId>(id));
-    }
-    healthy_dirty_ = false;
-  }
-  return healthy_cache_;
+  return healthy_;
 }
 
 ActivationRecord& Controller::record(ActivationId id) {
@@ -610,6 +624,7 @@ void Controller::finish(ActivationRecord& rec, ActivationState state) {
   if (rec.routed_to != kNoInvoker && rec.routed_to < invokers_.size() &&
       invokers_[rec.routed_to].in_flight > 0) {
     --invokers_[rec.routed_to].in_flight;
+    --total_in_flight_;
   }
   const auto evt = timeout_events_.find(rec.id);
   if (evt != timeout_events_.end()) {
@@ -650,29 +665,33 @@ void Controller::finish(ActivationRecord& rec, ActivationState state) {
 void Controller::watchdog_sweep() {
   const sim::SimTime deadline =
       config_.heartbeat_interval * config_.heartbeat_miss_limit;
-  for (std::size_t i = 0; i < invokers_.size(); ++i) {
-    const InvokerId id = static_cast<InvokerId>(i);
-    InvokerEntry& entry = invokers_[i];
-    if (entry.health != InvokerHealth::kHealthy) continue;
-    if (sim_.now() - entry.last_heartbeat > deadline) {
-      entry.health = InvokerHealth::kUnresponsive;
-      healthy_dirty_ = true;
-      ++counters_.unresponsive_detected;
-      HW_OBS_IF(config_.obs) {
-        config_.obs->trace.record(
-            obs::Cat::kPilot, obs::Phase::kInstant, "invoker_unresponsive",
-            obs::Track::kController, 0, id, sim_.now());
-      }
-      // The invoker vanished without hand-off (hard kill / node failure):
-      // rescue its unpulled backlog, then re-submit what it had already
-      // pulled or was executing — that work would otherwise surface only
-      // as client timeouts. Its predicted backlog (and warm set) must not
-      // survive it, or the router would keep avoiding a ghost.
-      if (scheduler_) scheduler_->forget_worker(id);
-      revoke_leases_on(id);
-      const std::vector<ActivationId> rescued = move_backlog_to_fast_lane(id);
-      rescue_in_flight(id, rescued);
+  // Only a healthy invoker whose heartbeat series stopped can go silent
+  // (a live series' last beat is at most one interval old). Collect
+  // first: the rescue below edits healthy_, and it never touches another
+  // invoker's beats, so detecting all before rescuing any changes nothing.
+  std::vector<InvokerId> silent;
+  for (const InvokerId id : healthy_) {
+    const InvokerEntry& entry = invokers_[id];
+    if (!entry.beating && sim_.now() - entry.last_heartbeat > deadline)
+      silent.push_back(id);
+  }
+  for (const InvokerId id : silent) {
+    set_health(id, InvokerHealth::kUnresponsive);
+    ++counters_.unresponsive_detected;
+    HW_OBS_IF(config_.obs) {
+      config_.obs->trace.record(
+          obs::Cat::kPilot, obs::Phase::kInstant, "invoker_unresponsive",
+          obs::Track::kController, 0, id, sim_.now());
     }
+    // The invoker vanished without hand-off (hard kill / node failure):
+    // rescue its unpulled backlog, then re-submit what it had already
+    // pulled or was executing — that work would otherwise surface only
+    // as client timeouts. Its predicted backlog (and warm set) must not
+    // survive it, or the router would keep avoiding a ghost.
+    if (scheduler_) scheduler_->forget_worker(id);
+    revoke_leases_on(id);
+    const std::vector<ActivationId> rescued = move_backlog_to_fast_lane(id);
+    rescue_in_flight(id, rescued);
   }
 }
 

@@ -76,16 +76,83 @@ void Invoker::direct_invoke(mq::Message msg) {
         obs::Track::kInvoker, id_, msg.id, sim_.now());
   }
   begin_execution(std::move(msg));
+  // A hand-over that specialized a stem cell leaves the next grid tick
+  // a refill to do, as the unparked loop would.
+  if (!pool_.prewarm_full()) wake();
 }
 
 void Invoker::start_loops() {
-  poll_loop_ = sim_.every(config_.poll_interval, [this] { poll(); });
-  heartbeat_loop_ =
-      sim_.every(sim::SimTime::seconds(2), [this] { controller_.heartbeat(id_); });
+  grid_ = sim_.start_grid(config_.poll_interval);
+  ticking_ = true;
+  arm_tick(grid_.origin + config_.poll_interval);
+  controller_.start_heartbeats(id_);
+}
+
+void Invoker::arm_tick(sim::SimTime when) {
+  tick_event_ = sim_.at_grid(grid_, when, [this] { tick(); });
+}
+
+sim::SimTime Invoker::grid_ceil(sim::SimTime t) const {
+  const sim::SimTime p = config_.poll_interval;
+  if (t <= grid_.origin) return grid_.origin;
+  return grid_.origin +
+         p * ((t - grid_.origin + p - sim::SimTime::micros(1)) / p);
+}
+
+void Invoker::tick() {
+  tick_event_ = {};
+  if (parked_) unpark();  // the reap tick of a parked invoker
+  last_tick_ = sim_.now();
+  poll();
+  // poll() can end the lifecycle (a completion callback may kill us).
+  if (!ticking_) return;
+  if (idle()) {
+    park();
+  } else {
+    arm_tick(sim_.now() + config_.poll_interval);
+  }
+}
+
+bool Invoker::idle() const {
+  return fast_lane_->approx_empty() && own_topic_->approx_empty() &&
+         buffer_.empty() && pool_.prewarm_full();
+}
+
+void Invoker::park() {
+  parked_ = true;
+  own_topic_->add_waiter(own_waiter_);
+  fast_lane_->add_waiter(fast_waiter_);
+  const sim::SimTime reap_every = config_.pool.keep_alive.reap_interval;
+  if (reap_every <= sim::SimTime::zero()) return;
+  // The reap tick survives wakes; it moves only when a reap happened.
+  const sim::SimTime due = std::max(sim_.now() + config_.poll_interval,
+                                    grid_ceil(last_reap_ + reap_every));
+  if (reap_event_.valid() && reap_due_ == due) return;
+  sim_.cancel(reap_event_);
+  reap_due_ = due;
+  reap_event_ = sim_.at_grid(grid_, due, [this] {
+    reap_event_ = {};
+    // Awake at the due tick, the grid tick itself reaps.
+    if (parked_) tick();
+  });
+}
+
+void Invoker::unpark() {
+  parked_ = false;
+  own_waiter_.cancel();
+  fast_waiter_.cancel();
+}
+
+void Invoker::wake() {
+  if (!parked_) return;
+  unpark();
+  // The skipped loop's next tick; a tick that already ran at this very
+  // instant (we parked in it) is not repeated.
+  arm_tick(std::max(sim_.next_grid_firing(grid_),
+                    last_tick_ + config_.poll_interval));
 }
 
 void Invoker::poll() {
-  if (draining_ || dead_) return;
   pool_.maintain_prewarm(sim_.now());
   const sim::SimTime reap_every = config_.pool.keep_alive.reap_interval;
   if (reap_every > sim::SimTime::zero() &&
@@ -94,9 +161,8 @@ void Invoker::poll() {
     (void)pool_.reap_idle(sim_.now());
   }
   // Fast lane first (highest priority), then the invoker's own topic.
-  // Steady state — both empty — is decided by two relaxed atomic loads:
-  // no topic locks, no allocation, on the simulation's most frequent
-  // event (every invoker, every poll tick).
+  // Both empty is decided by two relaxed atomic loads: no topic locks,
+  // no allocation.
   mq::Topic& fast = *fast_lane_;
   const bool fast_has = !fast.approx_empty();
   const bool own_has = !own_topic_->approx_empty();
@@ -311,6 +377,10 @@ void Invoker::sigterm(std::function<void()> on_drained) {
                               static_cast<double>(buffer_.size()));
   }
 
+  // A draining invoker pulls nothing more; its own fast-lane hand-off
+  // below must not wake it.
+  stop_ticking();
+
   // 1. Controller stops routing to us and rescues our unpulled backlog.
   controller_.begin_drain(id_);
 
@@ -403,9 +473,18 @@ void Invoker::hard_kill() {
   if (started_) controller_.clear_direct_invoke(id_);
 }
 
+void Invoker::stop_ticking() {
+  ticking_ = false;
+  unpark();
+  sim_.cancel(tick_event_);
+  tick_event_ = {};
+  sim_.cancel(reap_event_);
+  reap_event_ = {};
+}
+
 void Invoker::stop_loops() {
-  poll_loop_.stop();
-  heartbeat_loop_.stop();
+  stop_ticking();
+  controller_.stop_heartbeats(id_);
 }
 
 }  // namespace hpcwhisk::whisk

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "hpcwhisk/sim/simulation.hpp"
+
 namespace hpcwhisk::mq {
 namespace {
 
@@ -80,6 +84,80 @@ TEST(Topic, KeyAndNamePreserved) {
   const auto m = t.poll_one();
   ASSERT_TRUE(m);
   EXPECT_EQ(m->key, "pagerank");
+}
+
+TEST(TopicWaiter, FiresOnceOnTheEmptyToNonEmptyTransition) {
+  Topic t{"t"};
+  int woken = 0;
+  Topic::Waiter w{[&] { ++woken; }};
+  t.add_waiter(w);
+  EXPECT_TRUE(w.armed());
+  t.publish(make(1), SimTime::zero());
+  EXPECT_EQ(woken, 1);
+  EXPECT_FALSE(w.armed());
+  t.publish(make(2), SimTime::zero());
+  EXPECT_EQ(woken, 1) << "one-shot";
+  // Armed on a non-empty topic: only the next transition fires it.
+  t.add_waiter(w);
+  t.publish_front(make(3), SimTime::zero());
+  EXPECT_EQ(woken, 1);
+  (void)t.drain();
+  t.publish_front(make(4), SimTime::zero());
+  EXPECT_EQ(woken, 2);
+}
+
+TEST(TopicWaiter, FiresInArmingOrderAndReArmsWaitForTheNextTransition) {
+  Topic t{"t"};
+  std::string order;
+  Topic::Waiter b{[&] { order += 'b'; }};
+  Topic::Waiter a{[&] {
+    order += 'a';
+    t.add_waiter(a);  // re-armed while firing
+  }};
+  t.add_waiter(a);
+  t.add_waiter(b);
+  t.publish(make(1), SimTime::zero());
+  EXPECT_EQ(order, "ab");
+  EXPECT_TRUE(a.armed());
+  (void)t.drain();
+  t.publish(make(2), SimTime::zero());
+  EXPECT_EQ(order, "aba");
+}
+
+TEST(TopicWaiter, CancelAndDestructionDisarm) {
+  Topic t{"t"};
+  int woken = 0;
+  Topic::Waiter kept{[&] { ++woken; }};
+  {
+    Topic::Waiter gone{[&] { woken += 100; }};
+    t.add_waiter(gone);
+    t.add_waiter(kept);
+  }
+  Topic::Waiter cancelled{[&] { woken += 10; }};
+  t.add_waiter(cancelled);
+  cancelled.cancel();
+  cancelled.cancel();
+  t.publish(make(1), SimTime::zero());
+  EXPECT_EQ(woken, 1);
+}
+
+TEST(TopicWaiter, FaultDelayedDeliveryWakesAtDeliveryTime) {
+  sim::Simulation simulation;
+  Topic t{"t"};
+  t.set_fault_filter(
+      [](const Message&) {
+        Topic::FaultAction a;
+        a.delay = SimTime::seconds(2);
+        return a;
+      },
+      &simulation);
+  SimTime woke_at = SimTime::max();
+  Topic::Waiter w{[&] { woke_at = simulation.now(); }};
+  t.add_waiter(w);
+  t.publish(make(1), simulation.now());
+  EXPECT_TRUE(w.armed());
+  simulation.run();
+  EXPECT_EQ(woke_at, SimTime::seconds(2));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace hpcwhisk::sim {
@@ -148,6 +149,75 @@ TEST(Simulation, SettleToRejectsPendingEarlierEvents) {
   Simulation sim;
   sim.at(SimTime::seconds(1), [] {});
   EXPECT_THROW(sim.settle_to(SimTime::seconds(2)), std::logic_error);
+}
+
+TEST(SimulationGrid, NextFiringOnAGridInstantFollowsTheArmingTime) {
+  Simulation sim;
+  const Simulation::Grid grid = sim.start_grid(SimTime::millis(100));
+  std::vector<SimTime> next;
+  // Both fire at 0.2 s; the loop's 0.2 s firing was armed at 0.1 s.
+  sim.at(SimTime::millis(200), [&] { next.push_back(sim.next_grid_firing(grid)); });
+  sim.at(SimTime::millis(150), [&] {
+    sim.at(SimTime::millis(200),
+           [&] { next.push_back(sim.next_grid_firing(grid)); });
+  });
+  sim.at(SimTime::millis(250), [&] { next.push_back(sim.next_grid_firing(grid)); });
+  EXPECT_EQ(sim.next_grid_firing(grid), SimTime::millis(100));
+  sim.run();
+  EXPECT_EQ(next, (std::vector<SimTime>{SimTime::millis(200),
+                                        SimTime::millis(300),
+                                        SimTime::millis(300)}));
+  // Outside dispatch, everything due at now() has run.
+  sim.settle_to(SimTime::millis(400));
+  EXPECT_EQ(sim.next_grid_firing(grid), SimTime::millis(500));
+}
+
+TEST(SimulationGrid, LateArmedFiringTakesTheSimulatedLoopsSlot) {
+  Simulation sim;
+  std::string order;
+  const Simulation::Grid grid = sim.start_grid(SimTime::millis(100));
+  sim.at(SimTime::seconds(1), [&] { order += 'x'; });  // armed at 0 s
+  sim.at(SimTime::millis(950), [&] {
+    sim.at(SimTime::seconds(1), [&] { order += 'y'; });  // armed at 0.95 s
+  });
+  // Armed at 0.97 s, but the loop would have armed it at 0.9 s.
+  sim.at(SimTime::millis(970), [&] {
+    sim.at_grid(grid, SimTime::seconds(1), [&] { order += 'g'; });
+  });
+  sim.run();
+  EXPECT_EQ(order, "xgy");
+}
+
+TEST(SimulationGrid, BirthRanksMatchSimulatedLoopsSharingAPhase) {
+  // Each birth starts a real every() loop and a grid; the grids' firings
+  // are armed late, yet must interleave like the loops' do.
+  Simulation sim;
+  const SimTime p = SimTime::millis(100);
+  std::string loops;
+  std::string grids;
+  std::vector<Simulation::Grid> born;
+  const auto birth = [&](char name) {
+    sim.every(p, [&loops, name] { loops += name; });
+    born.push_back(sim.start_grid(p));
+    const std::size_t i = born.size() - 1;
+    // Late arming for the common instant 1 s.
+    sim.at(SimTime::millis(930), [&, i, name] {
+      sim.at_grid(born[i], SimTime::seconds(1), [&grids, name] { grids += name; });
+    });
+  };
+  birth('a');  // t = 0, top level: behind nothing
+  // Scheduled long before 0.5 s: in front of a at 0.5 s, then c behind b.
+  sim.at(SimTime::millis(500), [&] { birth('b'); });
+  sim.at(SimTime::millis(500), [&] { birth('c'); });
+  // Scheduled at 0.45 s for 0.5 s (after 0.4 s): behind all of them.
+  sim.at(SimTime::millis(450), [&] {
+    sim.at(SimTime::millis(500), [&] { birth('d'); });
+  });
+  sim.run_until(SimTime::millis(999));
+  loops.clear();
+  sim.run_until(SimTime::seconds(1));
+  EXPECT_EQ(loops, "bcad");
+  EXPECT_EQ(grids, loops);
 }
 
 }  // namespace

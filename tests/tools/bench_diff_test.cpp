@@ -138,6 +138,46 @@ TEST(Diff, GlobRulesFanOutOverBaselinePaths) {
   EXPECT_EQ(r.checks[1].status, CheckStatus::kRegression);
 }
 
+TEST(Diff, GuardedRuleAppliesOnlyWhenBothReportsPassTheGuard) {
+  const std::vector<Rule> rules{
+      {"t", "speedup", Direction::kHigherBetter, 0.5, 0, "threads", 1},
+  };
+  const auto doc = [](int threads, const char* speedup) {
+    return parse_or_die(header("t") + R"("threads": )" +
+                        std::to_string(threads) + R"(, "speedup": )" +
+                        speedup + "}");
+  };
+  // Multi-threaded on both sides: a halved-plus speedup fails.
+  EXPECT_EQ(diff(doc(4, "2.6"), doc(4, "1.4"), rules).verdict, Verdict::kPass);
+  const DiffResult slow = diff(doc(4, "2.6"), doc(4, "1.2"), rules);
+  EXPECT_EQ(slow.verdict, Verdict::kFail);
+  EXPECT_EQ(slow.checks.at(0).status, CheckStatus::kRegression);
+  // A single-threaded side (speedup reported as null) skips the rule.
+  for (const DiffResult& r : {diff(doc(1, "null"), doc(4, "2.6"), rules),
+                              diff(doc(4, "2.6"), doc(1, "null"), rules)}) {
+    EXPECT_EQ(r.verdict, Verdict::kPass);
+    ASSERT_EQ(r.checks.size(), 1u);
+    EXPECT_NE(r.checks[0].detail.find("skipped"), std::string::npos);
+  }
+}
+
+TEST(Diff, PerfReportGatesCostPerRunNotPerEvent) {
+  const auto report = [](double wall, int allocs, double speedup) {
+    return parse_or_die(
+        header("perf_report") + R"("hw_threads": 4, "alloc_probe": true, )" +
+        R"("experiments": [{"name": "table2_fib", "wall_s": )" +
+        std::to_string(wall) + R"(, "events": 26000, "events_per_sec": 1, )" +
+        R"("allocs_in_window": )" + std::to_string(allocs) +
+        R"(, "allocs_per_event": 9}], "sweep": {"outputs_identical": true, )" +
+        R"("speedup": )" + std::to_string(speedup) + "}}");
+  };
+  const JsonValue base = report(0.10, 36000, 2.6);
+  EXPECT_EQ(diff(base, report(0.14, 39000, 1.4)).verdict, Verdict::kPass);
+  EXPECT_EQ(diff(base, report(0.16, 36000, 2.6)).regressions, 1u);
+  EXPECT_EQ(diff(base, report(0.10, 40000, 2.6)).regressions, 1u);
+  EXPECT_EQ(diff(base, report(0.10, 36000, 1.2)).regressions, 1u);
+}
+
 TEST(Diff, VerdictJsonRoundTrips) {
   const JsonValue base =
       parse_or_die(header("obs_report") + R"("traced_overhead": 0.01})");

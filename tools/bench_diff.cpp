@@ -85,7 +85,7 @@ int self_test() {
   const char* base_text = R"({
     "schema_version": 2, "bench": "obs_report", "quick": true, "seed": 1,
     "hw_threads": 1, "traced_overhead": 0.02, "trace_dropped": 0,
-    "untraced_events_per_sec": 6.0e6, "decision_log_hash": "feed",
+    "untraced_run_s": 1.0, "decision_log_hash": "feed",
     "decision_log_bytes": 100, "decision_logs_identical": true,
     "reroute_across_invokers": true, "perfetto_valid": true,
     "harvest": {"efficiency": 0.95}})";
@@ -112,7 +112,7 @@ int self_test() {
     JsonParser p{R"({
       "schema_version": 2, "bench": "obs_report", "quick": true, "seed": 1,
       "hw_threads": 1, "traced_overhead": 0.40, "trace_dropped": 7,
-      "untraced_events_per_sec": 1.0e6, "decision_log_hash": "beef",
+      "untraced_run_s": 3.0, "decision_log_hash": "beef",
       "decision_log_bytes": 100, "decision_logs_identical": false,
       "reroute_across_invokers": true, "perfetto_valid": true,
       "harvest": {"efficiency": 0.50}})"};
@@ -120,7 +120,7 @@ int self_test() {
     const DiffResult r = diff(base, cand);
     expect(r.verdict == Verdict::kFail && r.exit_code() == 1,
            "injected regression fails");
-    expect(r.regressions >= 5, "overhead+dropped+eps+hash+flag all caught");
+    expect(r.regressions >= 5, "overhead+dropped+run time+hash+flag all caught");
   }
 
   // Tolerances absorb noise in the right direction only.
@@ -129,7 +129,7 @@ int self_test() {
     JsonParser p{R"({
       "schema_version": 2, "bench": "obs_report", "quick": true, "seed": 1,
       "hw_threads": 1, "traced_overhead": 0.09, "trace_dropped": 0,
-      "untraced_events_per_sec": 3.5e6, "decision_log_hash": "feed",
+      "untraced_run_s": 1.4, "decision_log_hash": "feed",
       "decision_log_bytes": 100, "decision_logs_identical": true,
       "reroute_across_invokers": true, "perfetto_valid": true,
       "harvest": {"efficiency": 0.91}})"};
@@ -144,7 +144,7 @@ int self_test() {
     JsonParser p{R"({
       "schema_version": 2, "bench": "obs_report", "quick": true, "seed": 1,
       "hw_threads": 1, "trace_dropped": 0,
-      "untraced_events_per_sec": 6.0e6, "decision_log_hash": "feed",
+      "untraced_run_s": 1.0, "decision_log_hash": "feed",
       "decision_log_bytes": 100, "decision_logs_identical": true,
       "reroute_across_invokers": true, "perfetto_valid": true,
       "harvest": {"efficiency": 0.95}})"};

@@ -15,7 +15,11 @@
 //    moves against its direction by more than max(rel_tol * |baseline|,
 //    abs_tol), disappears from the candidate, or changes JSON type;
 //  * paths present only in the candidate are new metrics, never failures:
-//    baselines regenerate on the same cadence as the code they pin.
+//    baselines regenerate on the same cadence as the code they pin;
+//  * a rule with a guard applies only when both reports carry the guard
+//    metric above its threshold (e.g. a parallel speedup floor only
+//    between multi-threaded hosts); otherwise its checks are skipped and
+//    listed as such.
 //
 // Everything lives in namespace hpcwhisk::benchdiff and depends only on
 // the standard library.
@@ -302,6 +306,10 @@ struct Rule {
   Direction dir{Direction::kExact};
   double rel_tol{0};  ///< allowed regression relative to |baseline|
   double abs_tol{0};  ///< allowed absolute regression
+  /// Optional guard: the rule applies only if this numeric metric exceeds
+  /// `guard_above` in both reports.
+  std::string_view guard{};
+  double guard_above{0};
 };
 
 /// The built-in gate: one entry per metric CI pins. Tolerances separate
@@ -319,18 +327,22 @@ inline const std::vector<Rule>& default_rules() {
       {"obs_report", "decision_log_bytes", Direction::kExact},
       {"obs_report", "traced_overhead", Direction::kLowerBetter, 0, 0.10},
       {"obs_report", "trace_dropped", Direction::kLowerBetter, 0, 0},
-      {"obs_report", "untraced_events_per_sec", Direction::kHigherBetter, 0.5,
-       0},
+      {"obs_report", "untraced_run_s", Direction::kLowerBetter, 0.5, 0},
       {"obs_report", "harvest.efficiency", Direction::kHigherBetter, 0, 0.05},
-      // perf_report: event counts and allocation profile are
-      // deterministic; wall-clock throughput is not.
+      // perf_report: event counts and allocations are deterministic;
+      // wall-clock time is not. Cost is gated per run, not per event:
+      // idle invokers are not simulated tick by tick, so events/s and
+      // allocs/event no longer track the work done. The parallel sweep
+      // speedup is gated only between multi-threaded hosts.
       {"perf_report", "sweep.outputs_identical", Direction::kRequireTrue},
       {"perf_report", "alloc_probe", Direction::kRequireTrue},
       {"perf_report", "experiments[*].events", Direction::kExact},
-      {"perf_report", "experiments[*].events_per_sec",
-       Direction::kHigherBetter, 0.5, 0},
-      {"perf_report", "experiments[*].allocs_per_event",
-       Direction::kLowerBetter, 0.10, 0.005},
+      {"perf_report", "experiments[*].wall_s", Direction::kLowerBetter, 0.5,
+       0},
+      {"perf_report", "experiments[*].allocs_in_window",
+       Direction::kLowerBetter, 0.10, 0},
+      {"perf_report", "sweep.speedup", Direction::kHigherBetter, 0.5, 0,
+       "hw_threads", 1},
       // ablation_routing: fully sim-deterministic, but small intended
       // estimator/policy drift shouldn't force a baseline churn loop —
       // the acceptance flag is the hard gate.
@@ -578,10 +590,33 @@ inline DiffResult diff(const JsonValue& baseline, const JsonValue& candidate,
   flatten(baseline, "", base_flat);
   flatten(candidate, "", cand_flat);
 
+  const auto guard_holds = [&](const Rule& rule) {
+    for (const auto* flat : {&base_flat, &cand_flat}) {
+      const auto it = flat->find(std::string{rule.guard});
+      if (it == flat->end() || it->second.kind != JsonValue::Kind::kNumber ||
+          !(it->second.number > rule.guard_above))
+        return false;
+    }
+    return true;
+  };
+
   for (const Rule& rule : rules) {
     if (rule.bench != r.bench) continue;
+    const bool applies = rule.guard.empty() || guard_holds(rule);
     for (const auto& [path, value] : base_flat) {
       if (!glob_match(rule.pattern, path)) continue;
+      if (!applies) {
+        Check c;
+        c.path = path;
+        c.dir = rule.dir;
+        char buf[96];
+        std::snprintf(buf, sizeof buf, "skipped: %.*s not above %g in both",
+                      static_cast<int>(rule.guard.size()), rule.guard.data(),
+                      rule.guard_above);
+        c.detail = buf;
+        r.checks.push_back(std::move(c));
+        continue;
+      }
       const auto it = cand_flat.find(path);
       Check c = detail::compare_one(
           path, rule, value, it == cand_flat.end() ? nullptr : &it->second);

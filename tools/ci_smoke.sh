@@ -276,12 +276,14 @@ fi
 echo "== perf baseline =="
 HW_PERF_OUT="$BUILD_DIR/BENCH_perf.json" "$BUILD_DIR"/bench/perf_report
 
-# Schema + floor validation: the JSON must carry the alloc-probe fields,
-# steady-state allocations must stay below 0.1/event, and a quick-mode
-# run on an unloaded host must clear 3M events/s (the post-overhaul hot
-# path does >9M; 3M is the regression tripwire, with headroom for noisy
-# shared CI hosts). Sanitizer builds check schema only — their timings
-# and allocation profiles measure the sanitizer, not the simulator.
+# Schema + ceiling validation: the JSON must carry the alloc-probe
+# fields, and the quick fib day (table2_fib) must finish within 1.28 s.
+# That ceiling is the old 3M events/s floor restated per run: 3.85M
+# events at 3M/s, when every idle invoker tick was an event. Idle
+# invokers now park, so events/s and allocs/event no longer track work;
+# allocations are gated in absolute terms by bench_diff's
+# allocs_in_window rule. Sanitizer builds check schema only — their
+# timings measure the sanitizer, not the simulator.
 python3 - "$BUILD_DIR/BENCH_perf.json" "${SANITIZE:-0}" <<'PYEOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
@@ -302,13 +304,12 @@ else:
     assert isinstance(sweep.get("speedup"), (int, float)), "speedup missing"
 if not sanitize:
     assert report["alloc_probe"] is True, "perf_report lost the alloc probe"
-    for exp in report["experiments"]:
-        ape = exp["allocs_per_event"]
-        assert ape < 0.1, f"{exp['name']}: {ape:.3f} allocs/event (floor 0.1)"
     if report["quick"]:
-        best = max(e["events_per_sec"] for e in report["experiments"])
-        assert best >= 3e6, f"best experiment {best:.3g} events/s < 3M floor"
-        print(f"perf floors OK (best {best / 1e6:.1f}M events/s)")
+        fib = next(e for e in report["experiments"]
+                   if e["name"] == "table2_fib")
+        assert fib["wall_s"] <= 1.28, \
+            f"table2_fib {fib['wall_s']:.3f} s > 1.28 s ceiling"
+        print(f"perf ceiling OK (table2_fib {fib['wall_s']:.3f} s)")
 print("BENCH_perf.json schema OK")
 PYEOF
 
