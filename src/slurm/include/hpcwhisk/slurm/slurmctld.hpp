@@ -32,6 +32,7 @@
 #include "hpcwhisk/slurm/job.hpp"
 #include "hpcwhisk/slurm/node.hpp"
 #include "hpcwhisk/slurm/partition.hpp"
+#include "hpcwhisk/slurm/planning_timeline.hpp"
 #include "hpcwhisk/slurm/qos.hpp"
 #include "hpcwhisk/slurm/reservation.hpp"
 #include "hpcwhisk/slurm/tres.hpp"
@@ -323,10 +324,10 @@ class Slurmctld {
   void request_schedule();       // coalesced event-driven pass
   void run_sched_pass(bool periodic);
   /// Rebuilds the availability timeline for `tier` into `out`, reusing
-  /// its capacity. Called once per (pass, tier); the scheduler then
-  /// advances `out.free_at` in place as its planning timeline, instead
-  /// of ever copying or reallocating full per-node vectors.
-  void build_availability_into(std::int32_t tier, Availability& out) const;
+  /// its capacity. Called once per (pass, tier) to seed the planning
+  /// timeline, which the pass then advances in place.
+  void build_availability_into(std::int32_t tier,
+                               std::vector<sim::SimTime>& out) const;
   void build_pass_cache(PassCache& cache) const;
   [[nodiscard]] bool fits_better(NodeId a, NodeId b) const;
 
@@ -434,13 +435,13 @@ class Slurmctld {
   // nodes; all working vectors live here so steady-state passes perform
   // no heap allocation at all (capacities stabilize after the first few
   // passes). Only valid for the duration of one pass.
-  Availability avail_scratch_;                  ///< per-tier timeline cache
+  PlanningTimeline timeline_;  ///< per-tier planning timeline
   PassCache pass_cache_;
   std::vector<sim::SimTime> reserved_from_scratch_;
   /// Per-node next maintenance window, as of the last pass or claim check.
   std::vector<sim::SimTime> window_from_;
-  std::vector<std::pair<sim::SimTime, NodeId>> horizon_scratch_;
   std::vector<QueueEntry> still_pending_scratch_;
+  /// Nodes picked for the job at hand: a launch's or a reservation's.
   std::vector<NodeId> chosen_scratch_;
   std::vector<std::size_t> taken_scratch_;
   /// Victim candidates of one try_start: a node, its youngest victim's

@@ -403,10 +403,10 @@ const Partition& Slurmctld::partition_of(const JobRecord& rec) const {
   return partitions_.at(rec.spec.partition);
 }
 
-void Slurmctld::build_availability_into(std::int32_t tier,
-                                        Availability& a) const {
+void Slurmctld::build_availability_into(
+    std::int32_t tier, std::vector<sim::SimTime>& out) const {
   const sim::SimTime now = sim_.now();
-  a.free_at.resize(nodes_.size());
+  out.resize(nodes_.size());
   const bool any_claims = !node_claims_.empty();
   for (const Node& node : nodes_) {
     sim::SimTime free_at = now;
@@ -433,14 +433,14 @@ void Slurmctld::build_availability_into(std::int32_t tier,
         free_at = std::max(free_at, claim_end);
       }
     }
-    a.free_at[node.id] = free_at;
+    out[node.id] = free_at;
   }
 }
 
 Slurmctld::Availability Slurmctld::availability_snapshot(
     std::int32_t tier) const {
   Availability a;
-  build_availability_into(tier, a);
+  build_availability_into(tier, a.free_at);
   return a;
 }
 
@@ -528,10 +528,10 @@ void Slurmctld::run_sched_pass(bool periodic) {
 
     // Planning timeline for this tier: when each node is expected free,
     // advanced as we launch jobs and book reservations within this pass.
-    // Built once per (pass, tier) into the cached buffer and then
+    // Built once per (pass, tier) into the member buffer and then
     // mutated in place — never rebuilt or copied mid-tier.
-    build_availability_into(tier, avail_scratch_);
-    std::vector<sim::SimTime>& scratch = avail_scratch_.free_at;
+    PlanningTimeline& timeline = timeline_;
+    build_availability_into(tier, timeline.reset());
 
     std::vector<QueueEntry>& still_pending = still_pending_scratch_;
     still_pending.clear();
@@ -547,33 +547,21 @@ void Slurmctld::run_sched_pass(bool periodic) {
         // Reflect the launch (or claim) in the planning timeline.
         const sim::SimTime busy_until =
             now + rec.granted_limit + partition_of(rec).grace_time;
-        for (const NodeId n : rec.nodes)
-          scratch[n] = std::max(scratch[n], busy_until);
+        for (const NodeId n : rec.nodes) timeline.occupy(n, busy_until);
         continue;
       }
       still_pending.push_back(entry);
       if (reservations_made < config_.reservation_depth) {
         // Book a future reservation for this blocked job on the nodes
         // that free earliest in the planning timeline.
-        std::vector<std::pair<sim::SimTime, NodeId>>& horizon =
-            horizon_scratch_;
-        horizon.clear();
-        for (NodeId n = 0; n < scratch.size(); ++n) {
-          if (scratch[n] != sim::SimTime::max()) horizon.emplace_back(scratch[n], n);
-        }
-        if (horizon.size() >= rec.spec.num_nodes) {
-          std::nth_element(horizon.begin(),
-                           horizon.begin() + (rec.spec.num_nodes - 1),
-                           horizon.end());
-          const sim::SimTime res_start = horizon[rec.spec.num_nodes - 1].first;
-          if (res_start <= now + config_.backfill_window) {
-            for (std::uint32_t k = 0; k < rec.spec.num_nodes; ++k) {
-              const NodeId n = horizon[k].second;
-              reserved_from[n] = std::min(reserved_from[n], res_start);
-              scratch[n] = res_start + rec.spec.time_limit;
-            }
-            ++reservations_made;
-          }
+        std::vector<NodeId>& booked = chosen_scratch_;
+        const std::optional<sim::SimTime> res_start = timeline.reserve(
+            rec.spec.num_nodes, now + config_.backfill_window,
+            rec.spec.time_limit, booked);
+        if (res_start) {
+          for (const NodeId n : booked)
+            reserved_from[n] = std::min(reserved_from[n], *res_start);
+          ++reservations_made;
         }
       }
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,7 +27,11 @@ TEST(Broker, TopicCreatesOnDemand) {
 TEST(Broker, TopicPointersStable) {
   Broker b;
   Topic& first = b.topic("a");
-  for (int i = 0; i < 100; ++i) b.topic("t" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    std::string name = "t";  // appended: `"t" + ...` trips GCC 12 -Wrestrict
+    name += std::to_string(i);
+    b.topic(name);
+  }
   EXPECT_EQ(&b.topic("a"), &first);
 }
 

@@ -11,7 +11,7 @@ TEST(FunctionRegistry, PutAndFind) {
   EXPECT_NE(reg.find("a"), nullptr);
   EXPECT_EQ(reg.find("b"), nullptr);
   EXPECT_EQ(reg.at("a").name, "a");
-  EXPECT_THROW(reg.at("b"), std::out_of_range);
+  EXPECT_THROW((void)reg.at("b"), std::out_of_range);
   EXPECT_EQ(reg.size(), 1u);
 }
 

@@ -21,7 +21,8 @@ else
   SAN_FLAG=OFF
 fi
 
-cmake -B "$BUILD_DIR" -S . -DHPCWHISK_SANITIZE=$SAN_FLAG
+cmake -B "$BUILD_DIR" -S . -DHPCWHISK_SANITIZE=$SAN_FLAG \
+  -DHPCWHISK_WARNINGS_AS_ERRORS=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
@@ -234,7 +235,7 @@ if [[ "${COVERAGE:-0}" == "1" ]]; then
   echo "== coverage (tier1 + simcheck over instrumented build) =="
   COV_DIR=${COV_DIR:-build-cov}
   cmake -B "$COV_DIR" -S . -DHPCWHISK_COVERAGE=ON -DHPCWHISK_BUILD_BENCH=OFF \
-    -DHPCWHISK_BUILD_EXAMPLES=OFF
+    -DHPCWHISK_BUILD_EXAMPLES=OFF -DHPCWHISK_WARNINGS_AS_ERRORS=ON
   cmake --build "$COV_DIR" -j"$(nproc)"
   ctest --test-dir "$COV_DIR" -L tier1 --output-on-failure
   "$COV_DIR"/tools/simcheck --seeds 5 --chaos --clusters 2 > /dev/null
