@@ -196,7 +196,7 @@ struct SchedFixture {
   }
 };
 
-void BM_slurm_build_availability(benchmark::State& state) {
+void BM_slurm_availability_snapshot(benchmark::State& state) {
   SchedFixture fx;
   for (auto _ : state) {
     benchmark::DoNotOptimize(fx.ctld->availability_snapshot(1));
@@ -204,7 +204,7 @@ void BM_slurm_build_availability(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           fx.ctld->node_count());
 }
-BENCHMARK(BM_slurm_build_availability);
+BENCHMARK(BM_slurm_availability_snapshot);
 
 /// One scheduling pass; Arg(0) whole-node (legacy), Arg(1) TRES packing.
 void BM_slurm_sched_pass(benchmark::State& state) {

@@ -11,7 +11,7 @@
 namespace hpcwhisk::slurm {
 
 /// Internal allocation state of a node.
-enum class NodeState {
+enum class NodeState : std::uint8_t {
   kIdle,
   kAllocated,
   kDown,
@@ -32,6 +32,9 @@ enum class ObservedNodeState : std::uint8_t {
 struct Node {
   NodeId id{0};
   NodeState state{NodeState::kIdle};
+  /// Which of the scheduler's maintained indexes still have to re-read
+  /// this node since it last changed (Slurmctld::kStale* bits).
+  std::uint8_t stale{0};
   /// Total TRES this node offers. Legacy (whole-node) mode gives every
   /// node one indivisible unit and every job requests all of it, so at
   /// most one job runs on a node there.

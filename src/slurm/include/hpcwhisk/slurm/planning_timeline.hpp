@@ -1,25 +1,38 @@
 #pragma once
-// One tier's EASY-backfill planning timeline: when each node is expected
-// free, advanced in place as a scheduling pass launches jobs and books
-// reservations, plus the one query a reservation needs — the k nodes
-// that free earliest.
+// One HPC tier's release index, kept up to date across scheduling passes,
+// and the EASY-backfill planning view a pass builds on top of it.
 //
-// The query is served from a min-heap of (free_at, node id) entries with
-// lazy invalidation. A change pushes the node's new entry and leaves the
-// old one behind; an entry is live iff its time equals the node's
-// current value. Within a tier a node's value only grows (a launch keeps
-// the later of the old value and its busy-until; a reservation books
-// from the k-th earliest value, which no picked node exceeds), so each
-// node has at most one live entry and the first k live entries popped
-// are the k smallest (time, id) pairs — the set `std::nth_element` over
-// all nodes picks, ties going to the lowest node ids. Nodes at
-// SimTime::max() (down) never enter the heap. The heap is built by the
-// tier's first reservation attempt with an O(N) make_heap, so a tier
-// with no blocked job pays nothing for it.
+// The index holds, per node, its raw release for the tier: the latest
+// expected end among the residents the tier cannot preempt (zero when
+// there are none, SimTime::max() when the node is down). The scheduler
+// updates it node by node as nodes change state (set_release). A pass
+// then asks for the k nodes that free earliest, where a node frees at
+// max(now, release) and ties go to the lowest node ids, without visiting
+// the other nodes:
+//  * a bitset holds the nodes free by the last begin(); they all free at
+//    `now` and are read in id order;
+//  * a min-heap holds (release, id, stamp) entries for the nodes that
+//    free later, lazily invalidated: every change bumps the node's stamp,
+//    so an entry is live iff its stamp is the node's current one and each
+//    node has at most one live entry. begin() moves the entries that have
+//    come due into the bitset. Down nodes are in neither.
+//
+// Between begin() and end() (one tier of one pass), launches, claims and
+// bookings raise nodes' values (occupy, reserve) in a pass-local overlay:
+// a per-node value plus a second lazily invalidated min-heap. Within a
+// tier a node's value only grows (a launch keeps the later of the old
+// value and its busy-until; a booking starts at the k-th earliest value,
+// which no picked node exceeds), so each overlaid node has one live
+// overlay entry, and its base entry is skipped until end(). The first k
+// live picks of the merged streams (free bits, base heap, overlay heap)
+// are therefore the k smallest (free_at, id) pairs: the set
+// `std::nth_element` over all nodes picks. end() drops the overlay and
+// pushes back the base entries the tier popped, which leaves the index
+// as begin() found it. Steady-state use allocates nothing.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "hpcwhisk/sim/time.hpp"
@@ -29,11 +42,22 @@ namespace hpcwhisk::slurm {
 
 class PlanningTimeline {
  public:
-  /// Starts a tier: forgets the heap and returns the per-node timeline
-  /// for the caller to fill (max() = never free). Capacity is reused.
-  std::vector<sim::SimTime>& reset();
+  /// Sizes the index for `nodes` nodes, all free (release zero).
+  void resize(std::size_t nodes);
 
-  [[nodiscard]] sim::SimTime free_at(NodeId n) const { return free_at_[n]; }
+  /// Node `n`'s release is now `release`, as of `now`. Outside a tier
+  /// only; `now` never decreases from call to call.
+  void set_release(NodeId n, sim::SimTime release, sim::SimTime now);
+  [[nodiscard]] sim::SimTime release(NodeId n) const { return release_[n]; }
+
+  /// Opens one tier's planning view at `now` (not before the latest
+  /// set_release instant).
+  void begin(sim::SimTime now);
+  /// Closes the view, dropping every occupy and booking made in it.
+  void end();
+
+  /// In the open view: when node `n` is expected free (max() = never).
+  [[nodiscard]] sim::SimTime free_at(NodeId n) const;
 
   /// Node `n` is busy until at least `until` (a launch or claim).
   void occupy(NodeId n, sim::SimTime until);
@@ -49,13 +73,38 @@ class PlanningTimeline {
                                       std::vector<NodeId>& booked);
 
  private:
-  using Entry = std::pair<sim::SimTime, NodeId>;
-  /// Enters node `n`'s current value unless it is max().
-  void push(NodeId n);
+  struct Entry {
+    sim::SimTime time;
+    NodeId node{0};
+    std::uint32_t stamp{0};  ///< base heap only
+  };
+  /// Heap order: a min-heap on (time, node).
+  static bool later(const Entry& a, const Entry& b);
+  static void push(std::vector<Entry>& heap, const Entry& e);
+  static Entry pop(std::vector<Entry>& heap);
+  [[nodiscard]] bool overlaid(NodeId n) const;
 
-  std::vector<sim::SimTime> free_at_;
-  std::vector<Entry> heap_;  ///< min-heap; may hold stale entries
-  bool built_{false};
+  // --- Maintained across passes.
+  std::vector<sim::SimTime> release_;
+  std::vector<std::uint32_t> stamp_;
+  std::vector<std::uint64_t> free_;  ///< release <= the last begin()
+  std::vector<Entry> heap_;          ///< later releases; may hold stale entries
+
+  // --- The open view; empty between tiers.
+  sim::SimTime now_;
+  std::vector<std::uint64_t> view_free_;  ///< free_ minus raised nodes
+  std::size_t first_word_{0};             ///< view_free_ words before are 0
+  std::vector<sim::SimTime> overlay_;     ///< per node; kNoOverlay if none
+  std::vector<Entry> overlay_heap_;
+  std::vector<NodeId> overlaid_;
+  std::vector<Entry> restore_;  ///< live base entries popped in this view
+  /// One reserve's picks, in order, with where each came from.
+  enum class Source : std::uint8_t { kFree, kBase, kOverlay };
+  struct Pick {
+    Entry entry;
+    Source source;
+  };
+  std::vector<Pick> picks_;
 };
 
 }  // namespace hpcwhisk::slurm

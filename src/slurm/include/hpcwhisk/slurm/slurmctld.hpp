@@ -26,6 +26,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hpcwhisk/sim/simulation.hpp"
@@ -280,12 +281,16 @@ class Slurmctld {
   struct Availability {
     std::vector<sim::SimTime> free_at;  // per node, for HPC planning
   };
-  /// Rebuilds and returns the availability timeline for `tier`. Exposed
-  /// for micro-benchmarks and tooling; scheduling passes reuse internal
-  /// scratch buffers instead of calling this.
+  /// Returns the availability timeline for `tier`, read from the
+  /// maintained release index where the scheduler keeps one. Exposed for
+  /// micro-benchmarks and tooling; scheduling passes query the index
+  /// instead of calling this.
   [[nodiscard]] Availability availability_snapshot(std::int32_t tier) const;
 
  private:
+  /// Test access to the node index (tests/slurm/node_index_test.cpp).
+  friend struct NodeIndexProbe;
+
   /// Pending-queue entry, kept sorted by (priority desc, id asc) at
   /// insertion so scheduling passes never sort.
   struct QueueEntry {
@@ -299,9 +304,12 @@ class Slurmctld {
   void enqueue_pending(std::int32_t tier, const JobRecord& rec);
   void remove_pending(std::int32_t tier, JobId id);
 
-  /// Node lists cached for the duration of one scheduling pass; updated
-  /// in place as the pass launches jobs and claims nodes. Both hold only
-  /// in-service, unclaimed nodes.
+  /// The scheduler's node lists, kept across passes (DESIGN §17,
+  /// *Maintained index*). Both hold only in-service, unclaimed nodes. A
+  /// node that changes state is marked stale (touch) and re-entered by
+  /// the next pass's refresh_index(), so during a pass the lists are the
+  /// picture as of its start; only claims strike nodes from
+  /// `preemptable` mid-pass.
   struct PassCache {
     /// Nodes with free TRES, best fit first: (free cpus asc, last_freed
     /// desc, id asc). With whole-node requests these are the idle nodes
@@ -310,7 +318,8 @@ class Slurmctld {
     /// Nodes running at least one preemptible job, in id order, each
     /// with its running preemptible residents as the [first, last) range
     /// of `residents`, in eviction order: lowest tier first, youngest
-    /// first within a tier.
+    /// first within a tier. Ranges of re-entered nodes are left behind
+    /// until the garbage outgrows the live ranges.
     struct Preemptable {
       NodeId node;
       std::size_t first;
@@ -323,22 +332,42 @@ class Slurmctld {
   // Scheduling pipeline.
   void request_schedule();       // coalesced event-driven pass
   void run_sched_pass(bool periodic);
-  /// Rebuilds the availability timeline for `tier` into `out`, reusing
-  /// its capacity. Called once per (pass, tier) to seed the planning
-  /// timeline, which the pass then advances in place.
-  void build_availability_into(std::int32_t tier,
-                               std::vector<sim::SimTime>& out) const;
-  void build_pass_cache(PassCache& cache) const;
   [[nodiscard]] bool fits_better(NodeId a, NodeId b) const;
 
-  /// Attempts to start `rec` now, preempting lower tiers if allowed.
-  /// Returns true if the job was launched or is waiting on preempted
-  /// victims (counted as scheduled either way).
-  bool try_start(JobRecord& rec, PassCache& cache,
+  // Maintained node index: pass cache plus one release timeline per HPC
+  // tier. Hooks mark changed nodes stale; refreshes re-read only those.
+  static constexpr std::uint8_t kStaleCache = 1;
+  static constexpr std::uint8_t kStaleTimelines = 2;
+  /// Node `n` changed state (its jobs, TRES, drain, claim or up/down).
+  void touch(NodeId n);
+  /// Pass start: re-enters the stale nodes into the pass cache and the
+  /// timelines, and copies the open list into open_scratch_.
+  void refresh_index();
+  /// Re-reads the stale nodes' releases into every tier's timeline.
+  void refresh_timelines();
+  /// The raw release of `node` for `tier`: the latest expected end among
+  /// residents `tier` cannot preempt, zero if none, max() if down.
+  [[nodiscard]] sim::SimTime release_for(std::int32_t tier,
+                                         const Node& node) const;
+  /// Appends `node`'s running preemptible residents, in eviction order,
+  /// to the pass cache's residents.
+  void append_residents(const Node& node);
+  /// Opens `tier`'s planning view for this pass (creating its timeline
+  /// the first time), with claimed nodes busy until claim_end(). The
+  /// caller closes it with end().
+  PlanningTimeline& begin_tier(std::int32_t tier);
+  /// When a node claimed by `claimant` is expected back: the claimant's
+  /// end, grace included, were it to launch now.
+  [[nodiscard]] sim::SimTime claim_end(JobId claimant) const;
+
+  /// Attempts to start `rec` now on the pass's `open` nodes, preempting
+  /// lower tiers if allowed. Returns true if the job was launched or is
+  /// waiting on preempted victims (counted as scheduled either way).
+  bool try_start(JobRecord& rec, std::vector<NodeId>& open,
                  const std::vector<sim::SimTime>& reserved_from);
 
   /// Pilot placement over the pass's open nodes, coldest first.
-  void place_pilots(PassCache& cache,
+  void place_pilots(std::vector<NodeId>& open,
                     const std::vector<sim::SimTime>& reserved_from,
                     bool periodic);
 
@@ -424,26 +453,37 @@ class Slurmctld {
   std::function<void(const JobEvent&)> job_observer_;
   JobId next_job_id_{1};
   bool pass_requested_{false};
+  /// Set by the first pass, which indexes every node; hooks before it
+  /// have nothing to keep up to date.
+  bool index_built_{false};
   sim::SimTime last_pass_{sim::SimTime::zero() - sim::SimTime::hours(1)};
   sim::SimTime last_var_pass_{sim::SimTime::zero() - sim::SimTime::hours(1)};
   Counters counters_;
   /// Stale availability picture for var sizing (see Config).
   std::vector<sim::SimTime> last_pass_reserved_from_;
 
+  // --- Maintained node index (sized by the first pass) -------------------
+  PassCache pass_cache_;
+  /// Nodes touched since the last refresh; their Node::stale says which
+  /// structures still have to re-read them.
+  std::vector<NodeId> stale_nodes_;
+  /// One release timeline per HPC tier a pass has planned.
+  std::vector<std::pair<std::int32_t, PlanningTimeline>> timelines_;
+
   // --- Per-pass scratch buffers ------------------------------------------
   // The scheduler pass runs every <=30 s simulated over thousands of
   // nodes; all working vectors live here so steady-state passes perform
   // no heap allocation at all (capacities stabilize after the first few
   // passes). Only valid for the duration of one pass.
-  PlanningTimeline timeline_;  ///< per-tier planning timeline
-  PassCache pass_cache_;
+  /// The pass's copy of pass_cache_.open, which try_start edits in place
+  /// as it launches; the maintained list changes only at refresh.
+  std::vector<NodeId> open_scratch_;
   std::vector<sim::SimTime> reserved_from_scratch_;
   /// Per-node next maintenance window, as of the last pass or claim check.
   std::vector<sim::SimTime> window_from_;
   std::vector<QueueEntry> still_pending_scratch_;
   /// Nodes picked for the job at hand: a launch's or a reservation's.
   std::vector<NodeId> chosen_scratch_;
-  std::vector<std::size_t> taken_scratch_;
   /// Victim candidates of one try_start: a node, its youngest victim's
   /// start, and its victims as a [first, last) range of victim_pool_.
   struct VictimNode {

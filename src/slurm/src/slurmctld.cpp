@@ -74,6 +74,30 @@ bool evicts_before(const JobRecord* a, const JobRecord* b) {
   if (a->start_time != b->start_time) return a->start_time > b->start_time;
   return a->id > b->id;
 }
+
+/// Merges the sorted runs [0, head) and [head, end) of `v` in place,
+/// through the vector's spare capacity rather than a temporary buffer.
+template <typename T, typename Less>
+void merge_tail(std::vector<T>& v, std::size_t head, Less less) {
+  const std::size_t tail = v.size() - head;
+  if (head == 0 || tail == 0 || !less(v[head], v[head - 1])) return;
+  v.resize(head + 2 * tail);
+  std::move_backward(v.begin() + static_cast<std::ptrdiff_t>(head),
+                     v.begin() + static_cast<std::ptrdiff_t>(head + tail),
+                     v.end());
+  // Backwards: the larger of the two runs' last elements goes last.
+  std::size_t i = head;       // unmerged head is [0, i)
+  std::size_t j = v.size();   // unmerged tail is [head + tail, j)
+  std::size_t out = head + tail;
+  while (j > head + tail) {
+    if (i > 0 && less(v[j - 1], v[i - 1])) {
+      v[--out] = v[--i];
+    } else {
+      v[--out] = v[--j];
+    }
+  }
+  v.resize(head + tail);
+}
 }  // namespace
 
 Slurmctld::Slurmctld(sim::Simulation& simulation, Config config,
@@ -243,6 +267,7 @@ void Slurmctld::set_node_down(NodeId id) {
   node.state = NodeState::kDown;
   node.allocated = TresVector{};
   node.running_jobs.clear();
+  touch(id);
   announce(id);
   request_schedule();
 }
@@ -263,6 +288,7 @@ void Slurmctld::fail_node(NodeId id, sim::SimTime grace) {
   // Like a maintenance drain, the node leaves service once its jobs are
   // gone — but here they are being killed on a truncated clock.
   draining_[id] = true;
+  touch(id);
   const std::vector<JobRecord*> doomed = node.running_jobs;
   for (JobRecord* rec : doomed) {
     if (rec->state == JobState::kRunning)
@@ -275,6 +301,7 @@ void Slurmctld::fail_node(NodeId id, sim::SimTime grace) {
 void Slurmctld::set_node_up(NodeId id) {
   Node& node = nodes_.at(id);
   draining_[id] = false;
+  touch(id);
   if (node.state != NodeState::kDown) return;
   node.state = NodeState::kIdle;
   announce(id);
@@ -285,6 +312,7 @@ void Slurmctld::drain_node(NodeId id) {
   Node& node = nodes_.at(id);
   if (node.state == NodeState::kDown) return;
   draining_[id] = true;
+  touch(id);
   if (node.state == NodeState::kIdle) {
     node.state = NodeState::kDown;
     announce(id);
@@ -403,45 +431,46 @@ const Partition& Slurmctld::partition_of(const JobRecord& rec) const {
   return partitions_.at(rec.spec.partition);
 }
 
-void Slurmctld::build_availability_into(
-    std::int32_t tier, std::vector<sim::SimTime>& out) const {
-  const sim::SimTime now = sim_.now();
-  out.resize(nodes_.size());
-  const bool any_claims = !node_claims_.empty();
-  for (const Node& node : nodes_) {
-    sim::SimTime free_at = now;
-    if (node.state == NodeState::kDown) {
-      free_at = sim::SimTime::max();
-    } else if (node.state == NodeState::kAllocated) {
-      // Free when the last resident `tier` cannot preempt is expected
-      // out; preemptable residents are transparent.
-      for (const JobRecord* rec : node.running_jobs) {
-        if (rec->preemptible && rec->preempt_tier < tier) continue;
-        sim::SimTime expected = rec->expected_end();
-        if (rec->state == JobState::kCompleting)
-          expected = std::min(expected, rec->end_time);
-        free_at = std::max(free_at, expected);
-      }
-    }
-    // Claimed nodes are spoken for until the claimant's expected end.
-    if (any_claims) {
-      const auto claim = node_claims_.find(node.id);
-      if (claim != node_claims_.end()) {
-        const JobRecord& claimant = jobs_.at(claim->second);
-        const sim::SimTime claim_end =
-            now + claimant.granted_limit + partition_of(claimant).grace_time;
-        free_at = std::max(free_at, claim_end);
-      }
-    }
-    out[node.id] = free_at;
+sim::SimTime Slurmctld::release_for(std::int32_t tier,
+                                    const Node& node) const {
+  if (node.state == NodeState::kDown) return sim::SimTime::max();
+  // Free when the last resident `tier` cannot preempt is expected out;
+  // preemptable residents are transparent.
+  sim::SimTime release = sim::SimTime::zero();
+  for (const JobRecord* rec : node.running_jobs) {
+    if (rec->preemptible && rec->preempt_tier < tier) continue;
+    sim::SimTime expected = rec->expected_end();
+    if (rec->state == JobState::kCompleting)
+      expected = std::min(expected, rec->end_time);
+    release = std::max(release, expected);
   }
+  return release;
 }
 
 Slurmctld::Availability Slurmctld::availability_snapshot(
     std::int32_t tier) const {
+  const sim::SimTime now = sim_.now();
+  const auto it =
+      std::find_if(timelines_.begin(), timelines_.end(),
+                   [tier](const auto& t) { return t.first == tier; });
+  const PlanningTimeline* timeline =
+      it == timelines_.end() ? nullptr : &it->second;
   Availability a;
-  build_availability_into(tier, a.free_at);
+  a.free_at.resize(nodes_.size());
+  for (const Node& node : nodes_) {
+    const bool indexed =
+        timeline != nullptr && (node.stale & kStaleTimelines) == 0;
+    a.free_at[node.id] = std::max(
+        now, indexed ? timeline->release(node.id) : release_for(tier, node));
+  }
+  for (const auto& [n, claimant] : node_claims_)
+    a.free_at[n] = std::max(a.free_at[n], claim_end(claimant));
   return a;
+}
+
+sim::SimTime Slurmctld::claim_end(JobId claimant) const {
+  const JobRecord& rec = jobs_.at(claimant);
+  return sim_.now() + rec.granted_limit + partition_of(rec).grace_time;
 }
 
 bool Slurmctld::fits_better(NodeId a, NodeId b) const {
@@ -452,32 +481,116 @@ bool Slurmctld::fits_better(NodeId a, NodeId b) const {
   return a < b;
 }
 
-void Slurmctld::build_pass_cache(PassCache& cache) const {
-  cache.open.clear();
-  cache.preemptable.clear();
-  cache.residents.clear();
-  const bool any_claims = !node_claims_.empty();
-  for (const Node& node : nodes_) {
-    if (node.state == NodeState::kDown || draining_[node.id]) continue;
-    if (any_claims && node_claims_.contains(node.id)) continue;
-    if (!(node.capacity - node.allocated).is_zero())
-      cache.open.push_back(node.id);
-    const std::size_t first = cache.residents.size();
-    for (const JobRecord* rec : node.running_jobs) {
-      if (rec->preemptible && rec->state == JobState::kRunning)
-        cache.residents.push_back(rec);
-    }
-    if (cache.residents.size() == first) continue;
-    std::sort(cache.residents.begin() + static_cast<std::ptrdiff_t>(first),
-              cache.residents.end(), evicts_before);
-    cache.preemptable.push_back({node.id, first, cache.residents.size()});
+void Slurmctld::touch(NodeId n) {
+  if (!index_built_) return;  // the first pass indexes every node
+  Node& node = nodes_[n];
+  if (node.stale == 0) stale_nodes_.push_back(n);
+  node.stale = kStaleCache | kStaleTimelines;
+}
+
+void Slurmctld::refresh_timelines() {
+  const sim::SimTime now = sim_.now();
+  for (const NodeId n : stale_nodes_) {
+    Node& node = nodes_[n];
+    if ((node.stale & kStaleTimelines) == 0) continue;
+    node.stale &= static_cast<std::uint8_t>(~kStaleTimelines);
+    for (auto& [tier, timeline] : timelines_)
+      timeline.set_release(n, release_for(tier, node), now);
   }
+}
+
+void Slurmctld::append_residents(const Node& node) {
+  auto& residents = pass_cache_.residents;
+  const std::size_t first = residents.size();
+  for (const JobRecord* rec : node.running_jobs) {
+    if (rec->preemptible && rec->state == JobState::kRunning)
+      residents.push_back(rec);
+  }
+  std::sort(residents.begin() + static_cast<std::ptrdiff_t>(first),
+            residents.end(), evicts_before);
+}
+
+void Slurmctld::refresh_index() {
+  if (!index_built_) {
+    index_built_ = true;
+    stale_nodes_.resize(nodes_.size());
+    for (Node& node : nodes_) {
+      stale_nodes_[node.id] = node.id;
+      node.stale = kStaleCache;
+    }
+  }
+  refresh_timelines();
+
+  // Strike the stale nodes, then re-enter them at their current rank;
+  // every other node's entry and sort key is unchanged since it entered.
+  PassCache& cache = pass_cache_;
+  const auto stale = [this](NodeId n) { return nodes_[n].stale != 0; };
+  std::erase_if(cache.open, stale);
+  std::size_t live_residents = 0;
+  std::erase_if(cache.preemptable, [&](const PassCache::Preemptable& p) {
+    if (stale(p.node)) return true;
+    live_residents += p.last - p.first;
+    return false;
+  });
+  const std::size_t open_head = cache.open.size();
+  const std::size_t preemptable_head = cache.preemptable.size();
+  std::sort(stale_nodes_.begin(), stale_nodes_.end());
+  const bool any_claims = !node_claims_.empty();
+  for (const NodeId n : stale_nodes_) {
+    Node& node = nodes_[n];
+    node.stale = 0;
+    if (node.state == NodeState::kDown || draining_[n]) continue;
+    if (any_claims && node_claims_.contains(n)) continue;
+    if (!(node.capacity - node.allocated).is_zero()) cache.open.push_back(n);
+    const std::size_t first = cache.residents.size();
+    append_residents(node);
+    if (cache.residents.size() == first) continue;
+    live_residents += cache.residents.size() - first;
+    cache.preemptable.push_back({n, first, cache.residents.size()});
+  }
+  stale_nodes_.clear();
   // Best fit first: partial nodes fill up before idle nodes are broken
   // open, and among equals the most recently freed goes first (LIFO
   // reuse, matching Slurm's stable node-weight ordering and producing
   // the heavy-tailed per-node idleness of Fig. 1b).
-  std::sort(cache.open.begin(), cache.open.end(),
-            [this](NodeId a, NodeId b) { return fits_better(a, b); });
+  const auto better = [this](NodeId a, NodeId b) { return fits_better(a, b); };
+  std::sort(cache.open.begin() + static_cast<std::ptrdiff_t>(open_head),
+            cache.open.end(), better);
+  merge_tail(cache.open, open_head, better);
+  merge_tail(cache.preemptable, preemptable_head,
+             [](const PassCache::Preemptable& a,
+                const PassCache::Preemptable& b) { return a.node < b.node; });
+  if (cache.residents.size() > 2 * live_residents + 64) {
+    // Compact: every listed node is current, so re-reading it rebuilds
+    // exactly its range.
+    cache.residents.clear();
+    for (PassCache::Preemptable& p : cache.preemptable) {
+      p.first = cache.residents.size();
+      append_residents(nodes_[p.node]);
+      p.last = cache.residents.size();
+    }
+  }
+  open_scratch_.assign(cache.open.begin(), cache.open.end());
+}
+
+PlanningTimeline& Slurmctld::begin_tier(std::int32_t tier) {
+  refresh_timelines();
+  const sim::SimTime now = sim_.now();
+  auto it = std::find_if(timelines_.begin(), timelines_.end(),
+                         [tier](const auto& t) { return t.first == tier; });
+  if (it == timelines_.end()) {
+    PlanningTimeline& fresh =
+        timelines_.emplace_back(tier, PlanningTimeline{}).second;
+    fresh.resize(nodes_.size());
+    for (const Node& node : nodes_)
+      fresh.set_release(node.id, release_for(tier, node), now);
+    it = timelines_.end() - 1;
+  }
+  PlanningTimeline& timeline = it->second;
+  timeline.begin(now);
+  for (const auto& [n, claimant] : node_claims_)
+    timeline.occupy(n, claim_end(claimant));
+  return timeline;
 }
 
 void Slurmctld::build_window_starts(std::vector<sim::SimTime>& out) const {
@@ -508,11 +621,12 @@ void Slurmctld::run_sched_pass(bool periodic) {
   const sim::SimTime now = sim_.now();
   last_pass_ = now;
 
-  // Node lists for this pass, updated in place as launches happen. All
-  // pass-local vectors are member scratch: steady-state passes allocate
-  // nothing.
-  PassCache& cache = pass_cache_;
-  build_pass_cache(cache);
+  // Node lists for this pass: the maintained index brought up to date,
+  // and a working copy of the open list, edited in place as launches
+  // happen. All pass-local vectors are member scratch: steady-state
+  // passes allocate nothing.
+  refresh_index();
+  std::vector<NodeId>& open = open_scratch_;
   build_window_starts(window_from_);
 
   // ---- Phase 1: HPC tiers (>= 1), highest first, backfill with up to
@@ -525,13 +639,12 @@ void Slurmctld::run_sched_pass(bool periodic) {
 
   for (auto& [tier, queue] : pending_) {
     if (tier == 0) break;  // pilots handled in phase 2
+    if (queue.empty()) continue;
 
-    // Planning timeline for this tier: when each node is expected free,
-    // advanced as we launch jobs and book reservations within this pass.
-    // Built once per (pass, tier) into the member buffer and then
-    // mutated in place — never rebuilt or copied mid-tier.
-    PlanningTimeline& timeline = timeline_;
-    build_availability_into(tier, timeline.reset());
+    // Planning view for this tier: when each node is expected free, read
+    // from the tier's maintained timeline and advanced as we launch jobs
+    // and book reservations within this pass; end() drops the advances.
+    PlanningTimeline& timeline = begin_tier(tier);
 
     std::vector<QueueEntry>& still_pending = still_pending_scratch_;
     still_pending.clear();
@@ -543,7 +656,7 @@ void Slurmctld::run_sched_pass(bool periodic) {
         still_pending.push_back(entry);
         continue;
       }
-      if (try_start(rec, cache, reserved_from)) {
+      if (try_start(rec, open, reserved_from)) {
         // Reflect the launch (or claim) in the planning timeline.
         const sim::SimTime busy_until =
             now + rec.granted_limit + partition_of(rec).grace_time;
@@ -565,12 +678,13 @@ void Slurmctld::run_sched_pass(bool periodic) {
         }
       }
     }
+    timeline.end();
     queue.swap(still_pending);
   }
 
   // ---- Phase 2: tier-0 pilots pack into whatever TRES is left —
   // including partial nodes already running prime HPC work.
-  place_pilots(cache, reserved_from, periodic);
+  place_pilots(open, reserved_from, periodic);
 
   // Remember this pass's reservation picture for stale var sizing.
   if (periodic) last_pass_reserved_from_ = reserved_from;
@@ -584,11 +698,12 @@ void Slurmctld::run_sched_pass(bool periodic) {
   }
 }
 
-bool Slurmctld::try_start(JobRecord& rec, PassCache& cache,
+bool Slurmctld::try_start(JobRecord& rec, std::vector<NodeId>& open,
                           const std::vector<sim::SimTime>& reserved_from) {
+  PassCache& cache = pass_cache_;
   const std::uint32_t want_nodes = rec.spec.num_nodes;
   // Cheap reject: not enough candidate nodes even before constraints.
-  if (cache.open.size() + cache.preemptable.size() < want_nodes) return false;
+  if (open.size() + cache.preemptable.size() < want_nodes) return false;
 
   // Variable-length jobs can shrink to time_min, so that is what must fit
   // the hole; fixed jobs need their full declared limit. A node whose
@@ -605,14 +720,10 @@ bool Slurmctld::try_start(JobRecord& rec, PassCache& cache,
   // grace-period delay.
   std::vector<NodeId>& chosen = chosen_scratch_;
   chosen.clear();
-  std::vector<std::size_t>& taken = taken_scratch_;
-  taken.clear();
-  for (std::size_t i = 0; i < cache.open.size(); ++i) {
+  for (const NodeId n : open) {
     if (chosen.size() == want_nodes) break;
-    const NodeId n = cache.open[i];
     if (!want.fits_within(node_free(n)) || !usable(n)) continue;
     chosen.push_back(n);
-    taken.push_back(i);
   }
 
   // Preemption completes the allocation on nodes where evicting strictly-
@@ -676,19 +787,21 @@ bool Slurmctld::try_start(JobRecord& rec, PassCache& cache,
     }
   }
 
+  const auto claimed = [&chosen](NodeId n) {
+    return std::find(chosen.begin(), chosen.end(), n) != chosen.end();
+  };
   if (candidates.empty()) {
-    // Strike the taken nodes from the pass cache (back to front to keep
-    // indices valid); partially filled ones return at their new rank.
-    for (auto it = taken.rbegin(); it != taken.rend(); ++it)
-      cache.open.erase(cache.open.begin() + static_cast<std::ptrdiff_t>(*it));
+    // Strike the chosen nodes from the pass's list; partially filled
+    // ones return at their new rank.
+    std::erase_if(open, claimed);
     launch(rec, chosen, granted);
     for (const NodeId n : rec.nodes) {
       if ((nodes_[n].capacity - nodes_[n].allocated).is_zero()) continue;
-      cache.open.insert(
-          std::lower_bound(
-              cache.open.begin(), cache.open.end(), n,
-              [this](NodeId a, NodeId b) { return fits_better(a, b); }),
-          n);
+      open.insert(std::lower_bound(open.begin(), open.end(), n,
+                                   [this](NodeId a, NodeId b) {
+                                     return fits_better(a, b);
+                                   }),
+                  n);
     }
     return true;
   }
@@ -705,10 +818,7 @@ bool Slurmctld::try_start(JobRecord& rec, PassCache& cache,
       }
     }
   }
-  const auto claimed = [&chosen](NodeId n) {
-    return std::find(chosen.begin(), chosen.end(), n) != chosen.end();
-  };
-  std::erase_if(cache.open, claimed);
+  std::erase_if(open, claimed);
   std::erase_if(cache.preemptable, [&claimed](const PassCache::Preemptable& p) {
     return claimed(p.node);
   });
@@ -719,7 +829,10 @@ bool Slurmctld::try_start(JobRecord& rec, PassCache& cache,
   pl.nodes = chosen;
   pl.granted_limit = granted;
   pl.victims_missing = victims.size();
-  for (const NodeId n : chosen) node_claims_[n] = rec.id;
+  for (const NodeId n : chosen) {
+    node_claims_[n] = rec.id;
+    touch(n);
+  }
   for (const JobId v : victims) victim_claims_.emplace(v, rec.id);
   pending_launches_.push_back(std::move(pl));
   notify_job(JobEventKind::kClaimed, rec);
@@ -732,7 +845,7 @@ bool Slurmctld::try_start(JobRecord& rec, PassCache& cache,
   return true;
 }
 
-void Slurmctld::place_pilots(PassCache& cache,
+void Slurmctld::place_pilots(std::vector<NodeId>& open,
                              const std::vector<sim::SimTime>& reserved_from,
                              bool periodic) {
   const auto tier0 = pending_.find(0);
@@ -792,7 +905,7 @@ void Slurmctld::place_pilots(PassCache& cache,
     }
     return false;
   };
-  for (auto it = cache.open.rbegin(); it != cache.open.rend(); ++it) {
+  for (auto it = open.rbegin(); it != open.rend(); ++it) {
     if (queue.empty()) break;
     const NodeId node = *it;
     // The fresh-idle gate only guards fully idle nodes: partial nodes
@@ -820,6 +933,7 @@ void Slurmctld::launch(JobRecord& rec, std::vector<NodeId> nodes,
     node.allocated += rec.spec.tres_per_node;
     node.running_jobs.push_back(&rec);
     node.state = NodeState::kAllocated;
+    touch(n);
     if (observed_state(n) != prev) announce(n);
   }
   ++counters_.started;
@@ -876,6 +990,7 @@ void Slurmctld::begin_grace(JobRecord& rec, EndReason reason,
   rec.grace_reason = reason;
   // end_time doubles as the SIGKILL deadline while completing.
   rec.end_time = now + grace;
+  for (const NodeId n : rec.nodes) touch(n);
 
   // The natural-end event no longer applies (we are being terminated);
   // unless the job would finish on its own before the SIGKILL deadline.
@@ -982,6 +1097,7 @@ void Slurmctld::free_nodes(const JobRecord& rec) {
         last_freed_[n] = sim_.now();
       }
     }
+    touch(n);
     if (observed_state(n) != prev) announce(n);
   }
 }
@@ -1007,7 +1123,10 @@ void Slurmctld::victim_ended(JobId victim) {
 
     PendingLaunch pl = std::move(*plit);
     pending_launches_.erase(plit);
-    for (const NodeId n : pl.nodes) node_claims_.erase(n);
+    for (const NodeId n : pl.nodes) {
+      node_claims_.erase(n);
+      touch(n);
+    }
     JobRecord& rec = jobs_.at(pl.id);
 
     // Re-check the world: a node may have failed, drained or entered a
@@ -1034,7 +1153,10 @@ void Slurmctld::drop_claim(JobId claimant) {
   for (auto it = pending_launches_.begin(); it != pending_launches_.end();
        ++it) {
     if (it->id != claimant) continue;
-    for (const NodeId n : it->nodes) node_claims_.erase(n);
+    for (const NodeId n : it->nodes) {
+      node_claims_.erase(n);
+      touch(n);
+    }
     pending_launches_.erase(it);
     break;
   }
@@ -1081,6 +1203,7 @@ void Slurmctld::reservation_window_begin(std::size_t index) {
     Node& node = nodes_.at(id);
     if (node.state == NodeState::kDown) continue;
     draining_[id] = true;
+    touch(id);
     // A claimant waiting on this node can no longer be satisfied here.
     requeue_claimant(id);
     if (node.state == NodeState::kIdle) {

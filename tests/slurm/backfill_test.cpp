@@ -203,9 +203,13 @@ TEST(Backfill, FarReservationIsSkippedAndNarrowerJobStillReserves) {
 
 SimTime m(std::int64_t minutes) { return SimTime::minutes(minutes); }
 
+/// A tier view at t=0 over nodes releasing at `free_at`.
 PlanningTimeline timeline_of(const std::vector<SimTime>& free_at) {
   PlanningTimeline t;
-  t.reset() = free_at;
+  t.resize(free_at.size());
+  for (NodeId n = 0; n < free_at.size(); ++n)
+    t.set_release(n, free_at[n], SimTime::zero());
+  t.begin(SimTime::zero());
   return t;
 }
 
@@ -261,6 +265,31 @@ TEST(PlanningTimeline, LaunchMidTierPushesNodesLater) {
   EXPECT_EQ(booked, (std::vector<NodeId>{3, 0}));
 }
 
+TEST(PlanningTimeline, EndDropsTheTiersChangesAndReleasesComeDue) {
+  std::vector<NodeId> booked;
+  PlanningTimeline t = timeline_of({m(0), m(10), m(20), m(30)});
+  EXPECT_EQ(t.reserve(2, m(60), m(100), booked), m(10));
+  t.occupy(2, m(90));
+  t.end();
+  // The next tier sees the maintained releases again.
+  t.begin(m(0));
+  EXPECT_EQ(t.free_at(0), m(0));
+  EXPECT_EQ(t.free_at(1), m(10));
+  EXPECT_EQ(t.free_at(2), m(20));
+  EXPECT_EQ(t.reserve(3, m(60), m(5), booked), m(20));
+  EXPECT_EQ(booked, (std::vector<NodeId>{0, 1, 2}));
+  t.end();
+  // By t=25 nodes 1 and 2 are free: they tie with node 0 at `now` and
+  // come before node 3 whatever their old release order.
+  t.set_release(0, m(40), m(25));
+  t.begin(m(25));
+  EXPECT_EQ(t.free_at(0), m(40));
+  EXPECT_EQ(t.free_at(1), m(25));
+  EXPECT_EQ(t.reserve(3, m(60), m(5), booked), m(30));
+  EXPECT_EQ(booked, (std::vector<NodeId>{1, 2, 3}));
+  t.end();
+}
+
 // The selection the heap replaced: the k smallest (free_at, id) pairs of
 // every node ever free, by nth_element over a full scan.
 std::optional<SimTime> reference_reserve(std::vector<SimTime>& free_at,
@@ -288,34 +317,57 @@ TEST(PlanningTimeline, MatchesFullScanSelectionOnRandomTimelines) {
   const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
     return std::uniform_int_distribution<std::int64_t>{lo, hi}(rng);
   };
-  PlanningTimeline t;  // reused across tiers, as in a scheduling pass
+  PlanningTimeline t;  // reused across clusters and tiers, as in a run
   std::vector<NodeId> have;
   std::vector<NodeId> want;
-  for (int tier = 0; tier < 400; ++tier) {
-    // Few distinct values, so ties are common; some nodes are down.
+  for (int cluster = 0; cluster < 40; ++cluster) {
     const auto nodes = static_cast<NodeId>(pick(1, 48));
-    std::vector<SimTime> ref(nodes);
-    for (SimTime& v : ref)
-      v = pick(0, 9) == 0 ? SimTime::max() : m(pick(0, 12) * 5);
-    t.reset() = ref;
-    for (int op = 0; op < 40; ++op) {
-      if (pick(0, 2) == 0) {
+    t.resize(nodes);
+    std::vector<SimTime> release(nodes, SimTime::zero());
+    SimTime now = SimTime::zero();
+    for (int tier = 0; tier < 10; ++tier) {
+      // Between tiers time moves on and nodes change state. Few distinct
+      // values, so ties are common; some nodes are down.
+      now += m(pick(0, 3) * 5);
+      for (std::int64_t c = pick(0, nodes); c > 0; --c) {
         const auto n = static_cast<NodeId>(pick(0, nodes - 1));
-        const SimTime until = m(pick(0, 120));
-        t.occupy(n, until);
-        ref[n] = std::max(ref[n], until);
-      } else {
-        const auto k = static_cast<std::uint32_t>(pick(1, nodes));
-        const SimTime latest = m(pick(0, 150));
-        const SimTime length = m(pick(0, 4) * 15);
-        const std::optional<SimTime> got = t.reserve(k, latest, length, have);
-        ASSERT_EQ(got, reference_reserve(ref, k, latest, length, want))
-            << "tier " << tier << " op " << op;
-        std::sort(have.begin(), have.end());
-        std::sort(want.begin(), want.end());
-        ASSERT_EQ(have, want) << "tier " << tier << " op " << op;
+        const std::int64_t kind = pick(0, 9);
+        release[n] = kind == 0   ? SimTime::max()
+                     : kind <= 2 ? SimTime::zero()
+                                 : std::max(SimTime::zero(),
+                                            now + m(pick(-4, 12) * 5));
+        t.set_release(n, release[n], now);
       }
-      for (NodeId n = 0; n < nodes; ++n) ASSERT_EQ(t.free_at(n), ref[n]);
+      t.begin(now);
+      std::vector<SimTime> ref(nodes);
+      for (NodeId n = 0; n < nodes; ++n) {
+        ref[n] = release[n] == SimTime::max() ? SimTime::max()
+                                              : std::max(now, release[n]);
+        ASSERT_EQ(t.free_at(n), ref[n]) << "cluster " << cluster;
+      }
+      for (int op = 0; op < 40; ++op) {
+        if (pick(0, 2) == 0) {
+          const auto n = static_cast<NodeId>(pick(0, nodes - 1));
+          const SimTime until = now + m(pick(0, 120));
+          t.occupy(n, until);
+          ref[n] = std::max(ref[n], until);
+        } else {
+          const auto k = static_cast<std::uint32_t>(pick(1, nodes));
+          const SimTime latest = now + m(pick(0, 150));
+          const SimTime length = m(pick(0, 4) * 15);
+          const std::optional<SimTime> got =
+              t.reserve(k, latest, length, have);
+          ASSERT_EQ(got, reference_reserve(ref, k, latest, length, want))
+              << "cluster " << cluster << " tier " << tier << " op " << op;
+          std::sort(have.begin(), have.end());
+          std::sort(want.begin(), want.end());
+          ASSERT_EQ(have, want)
+              << "cluster " << cluster << " tier " << tier << " op " << op;
+        }
+        for (NodeId n = 0; n < nodes; ++n) ASSERT_EQ(t.free_at(n), ref[n]);
+      }
+      t.end();
+      for (NodeId n = 0; n < nodes; ++n) ASSERT_EQ(t.release(n), release[n]);
     }
   }
 }

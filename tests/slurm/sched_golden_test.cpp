@@ -2,8 +2,8 @@
 // trace (slurm/testing/golden_trace.hpp) drives Slurmctld and every
 // launch decision (time, job, granted limit, exact node set) plus every
 // end reason is folded into an FNV-1a hash. The hash is captured once
-// and must survive any performance refactor of run_sched_pass /
-// build_availability byte-for-byte: an optimization that changes any
+// and must survive any performance refactor of run_sched_pass and its
+// node index byte-for-byte: an optimization that changes any
 // decision — order, sizing, placement or reservation effect — fails here.
 //
 // It must equally survive the Slurm-fidelity generalization (per-TRES

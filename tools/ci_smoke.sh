@@ -10,6 +10,8 @@
 #   FULL_BENCH=1  smoke every bench binary instead of just chaos_recovery
 #   COVERAGE=1    add an instrumented build (build-cov/) and print a gcov
 #                 line-coverage summary for src/
+#   TSAN=1        add a ThreadSanitizer build (build-tsan/) of the code that
+#                 claims to be thread-safe and run it race-checked
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -270,6 +272,23 @@ assert total > 0, "no coverage data for src/ — did the tests run?"
 print(f"line coverage (src/): {100.0 * covered / total:.1f}% "
       f"({covered}/{total} lines over {len(per_file)} files)")
 PYEOF
+fi
+
+# ThreadSanitizer leg (TSAN=1): the parallel trial runner (tests/exec),
+# the sharded broker (tests/mq) and perf_report's parallel sweep, built
+# with -DHPCWHISK_TSAN=ON (exclusive with the ASan build) and run with
+# every reported race fatal.
+if [[ "${TSAN:-0}" == "1" ]]; then
+  echo "== thread sanitizer (exec, mq, parallel sweep) =="
+  TSAN_DIR=${TSAN_DIR:-build-tsan}
+  cmake -B "$TSAN_DIR" -S . -DHPCWHISK_TSAN=ON -DHPCWHISK_BUILD_EXAMPLES=OFF \
+    -DHPCWHISK_WARNINGS_AS_ERRORS=ON
+  cmake --build "$TSAN_DIR" -j"$(nproc)" --target test_exec test_mq perf_report
+  export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
+  "$TSAN_DIR"/tests/test_exec
+  "$TSAN_DIR"/tests/test_mq
+  HW_PERF_REPS=1 HW_BENCH_JOBS=4 HW_PERF_OUT="$TSAN_DIR/BENCH_perf.json" \
+    "$TSAN_DIR"/bench/perf_report
 fi
 
 # Machine-readable perf baseline, archived in the build dir (and at the
