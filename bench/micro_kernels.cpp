@@ -1,5 +1,6 @@
 // Micro-benchmarks of the substrates: message-broker throughput, the
-// container pool's fast paths, the event queue, and SeBS kernel scaling.
+// container pool's fast paths, the event queue, the controller's per-call
+// path, and SeBS kernel scaling.
 // These are performance benches for the library itself, not paper
 // reproductions.
 
@@ -15,6 +16,7 @@
 #include "hpcwhisk/sim/rng.hpp"
 #include "hpcwhisk/sim/simulation.hpp"
 #include "hpcwhisk/slurm/slurmctld.hpp"
+#include "hpcwhisk/whisk/controller.hpp"
 
 namespace {
 
@@ -221,13 +223,13 @@ void BM_container_pool_warm_path(benchmark::State& state) {
   runtime::ContainerPool pool{cfg, runtime::RuntimeProfile::singularity(),
                               sim::Rng{1}};
   // Prime a warm container.
-  const auto first = pool.acquire("fn", 256, sim::SimTime::zero());
+  const auto first = pool.acquire(sim::FunctionId{0}, 256, sim::SimTime::zero());
   pool.mark_running(first.container, sim::SimTime::zero());
   pool.release(first.container, sim::SimTime::zero());
   sim::SimTime now = sim::SimTime::zero();
   for (auto _ : state) {
     now += sim::SimTime::millis(1);
-    const auto r = pool.acquire("fn", 256, now);
+    const auto r = pool.acquire(sim::FunctionId{0}, 256, now);
     pool.mark_running(r.container, now);
     pool.release(r.container, now);
     benchmark::DoNotOptimize(r.container);
@@ -235,6 +237,93 @@ void BM_container_pool_warm_path(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_container_pool_warm_path);
+
+/// The controller's per-call path at perfbench `serve_hot`'s shape: 40
+/// registered functions, least-expected-work routing, leases on, over
+/// kWorkers invokers (registered and heartbeating, no pilot behind them).
+/// One iteration is a whole call as the controller sees it: submit,
+/// start, complete; a routed call is also pulled off the target's topic.
+/// The clock advances after every call, so the watchdog and the deadline
+/// FIFO's head events run at their simulated cadence. Records are kept
+/// per call, hence the fixed iteration count.
+struct SubmitFixture {
+  static constexpr std::uint32_t kWorkers = 8;
+  static constexpr std::uint32_t kFunctions = 40;
+
+  sim::Simulation simulation;
+  mq::Broker broker;
+  whisk::FunctionRegistry registry;
+  std::unique_ptr<whisk::Controller> controller;
+  std::vector<mq::Topic*> topics;
+  std::vector<std::string> names;
+  whisk::ActivationId direct_call{0};
+
+  SubmitFixture() {
+    for (std::uint32_t f = 0; f < kFunctions; ++f) {
+      std::string name = "fn-";
+      name += std::to_string(f);
+      registry.put(
+          whisk::fixed_duration_function(name, sim::SimTime::millis(10)));
+      names.push_back(std::move(name));
+    }
+    whisk::Controller::Config cfg;
+    cfg.route_mode = whisk::RouteMode::kLeastExpectedWork;
+    cfg.lease.enabled = true;
+    controller = std::make_unique<whisk::Controller>(simulation, broker,
+                                                     registry, cfg);
+    for (std::uint32_t w = 0; w < kWorkers; ++w) {
+      const whisk::InvokerId id = controller->register_invoker();
+      controller->start_heartbeats(id);
+      topics.push_back(
+          broker.resolve(whisk::Controller::invoker_topic_name(id)).get());
+      controller->set_direct_invoke(
+          id, whisk::Controller::DirectSeam{
+                  [](const whisk::FunctionSpec&) { return true; },
+                  [this](mq::Message m) { direct_call = m.id; }});
+    }
+  }
+
+  void finish(whisk::ActivationId id, whisk::InvokerId by,
+              sim::SimTime step) {
+    controller->activation_started(id, by, /*cold_start=*/false);
+    controller->activation_completed(id);
+    simulation.run_until(simulation.now() + step);
+  }
+};
+
+/// Queue path: the calls rotate over all 40 functions 20 ms apart, so
+/// each function arrives every 800 ms, below the lease tier's 500 ms hot
+/// bound: every call goes through route() and a topic.
+void BM_whisk_submit_routed(benchmark::State& state) {
+  SubmitFixture fx;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const whisk::SubmitResult r =
+        fx.controller->submit(fx.names[next++ % fx.names.size()]);
+    const whisk::InvokerId to = fx.controller->activation(r.activation).routed_to;
+    benchmark::DoNotOptimize(fx.topics[to]->poll_one());
+    fx.finish(r.activation, to, sim::SimTime::millis(20));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_whisk_submit_routed)->Iterations(1 << 18);
+
+/// Lease path: one function called every millisecond, leased after its
+/// first routed calls; every later call goes through the direct seam.
+void BM_whisk_submit_leased(benchmark::State& state) {
+  SubmitFixture fx;
+  for (auto _ : state) {
+    fx.direct_call = ~whisk::ActivationId{0};
+    const whisk::SubmitResult r = fx.controller->submit(fx.names[0]);
+    const whisk::InvokerId to = fx.controller->activation(r.activation).routed_to;
+    if (fx.direct_call != r.activation) (void)fx.topics[to]->poll_one();
+    fx.finish(r.activation, to, sim::SimTime::millis(1));
+  }
+  state.counters["lease_hits"] = static_cast<double>(
+      fx.controller->counters().lease_hits);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_whisk_submit_leased)->Iterations(1 << 18);
 
 void BM_bfs_scaling(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -1,8 +1,8 @@
 // Machine-readable perf baseline: runs the canonical experiments under a
-// wall clock and emits BENCH_perf.json with the simulator's fundamental
-// throughput numbers (events/sec, sched passes/sec), steady-state
-// allocations per event (this binary links the counting operator new of
-// bench/common/alloc_probe.cpp), per-experiment wall-clock, and the
+// wall clock and emits BENCH_perf.json with per-experiment wall-clock,
+// event and sched-pass counts, sched passes/sec, steady-state
+// allocations in the measurement window (this binary links the counting
+// operator new of bench/common/alloc_probe.cpp), and the
 // parallel-trial speedup of an 8-trial seed sweep versus jobs=1 —
 // including a byte-identity check of the two outputs.
 //
@@ -62,7 +62,6 @@ struct ExperimentPerf {
   std::uint64_t sched_passes{0};
   std::uint64_t events_in_window{0};
   std::uint64_t allocs_in_window{0};
-  double allocs_per_event{0};
 };
 
 ExperimentPerf measure(const std::string& name,
@@ -81,11 +80,6 @@ ExperimentPerf measure(const std::string& name,
     perf.events_in_window = result.events_in_window;
     perf.allocs_in_window = result.allocs_in_window;
   }
-  perf.allocs_per_event =
-      perf.events_in_window > 0
-          ? static_cast<double>(perf.allocs_in_window) /
-                static_cast<double>(perf.events_in_window)
-          : 0.0;
   return perf;
 }
 
@@ -208,9 +202,6 @@ int main() {
     const auto& e = experiments[i];
     json << "    {\"name\": \"" << e.name << "\", \"wall_s\": "
          << fmt_num(e.wall_s) << ", \"events\": " << e.events
-         << ", \"events_per_sec\": "
-         << fmt_num(e.wall_s > 0 ? static_cast<double>(e.events) / e.wall_s
-                                 : 0.0)
          << ", \"sched_passes\": " << e.sched_passes
          << ", \"sched_passes_per_sec\": "
          << fmt_num(e.wall_s > 0
@@ -218,7 +209,6 @@ int main() {
                         : 0.0)
          << ", \"events_in_window\": " << e.events_in_window
          << ", \"allocs_in_window\": " << e.allocs_in_window
-         << ", \"allocs_per_event\": " << fmt_num(e.allocs_per_event)
          << "}" << (i + 1 < experiments.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
@@ -243,15 +233,12 @@ int main() {
   for (const auto& e : experiments) {
     rows.push_back({e.name, analysis::fmt(e.wall_s, 2),
                     std::to_string(e.events),
-                    fmt_num(e.wall_s > 0
-                                ? static_cast<double>(e.events) / e.wall_s
-                                : 0.0),
-                    fmt_num(e.allocs_per_event),
+                    std::to_string(e.allocs_in_window),
                     std::to_string(e.sched_passes)});
   }
   analysis::print_table(std::cout, "perf baseline (see BENCH_perf.json)",
-                        {"experiment", "wall s", "events", "events/s",
-                         "allocs/event", "sched passes"},
+                        {"experiment", "wall s", "events",
+                         "allocs in window", "sched passes"},
                         rows);
   std::cout << "sweep: " << sweep.trials << " trials, best of "
             << sweep.repeats << ": serial "

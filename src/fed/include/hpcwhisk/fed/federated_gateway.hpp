@@ -225,6 +225,8 @@ class FederatedGateway {
   std::unique_ptr<cloud::LambdaService> cloud_;
   std::vector<ClusterHealth> health_;
   std::vector<std::uint64_t> per_cluster_calls_;
+  /// invoke()'s candidate list, reused across calls.
+  std::vector<std::size_t> candidates_;
   std::vector<std::uint64_t> samples_healthy_;
   std::uint64_t samples_total_{0};
   std::uint64_t samples_any_healthy_{0};

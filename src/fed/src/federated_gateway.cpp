@@ -46,6 +46,7 @@ FederatedGateway::FederatedGateway(sim::Simulation& simulation, Config config)
 
   health_.resize(n);
   per_cluster_calls_.assign(n, 0);
+  candidates_.reserve(n);
   samples_healthy_.assign(n, 0);
   refresh_health();
   // The construction-time snapshot is a bootstrap, not a sample.
@@ -243,8 +244,10 @@ FederatedGateway::Result FederatedGateway::invoke(
   const sim::SimTime now = sim_.now();
   ++counters_.invocations;
 
-  std::vector<std::size_t> candidates;
-  candidates.reserve(clusters_.size());
+  // Member scratch: no allocation per call. invoke() does not re-enter
+  // (submit() never calls back into the gateway).
+  std::vector<std::size_t>& candidates = candidates_;
+  candidates.clear();
   for (std::size_t i = 0; i < clusters_.size(); ++i) {
     if (cooling(i, now)) {
       ++counters_.cooldown_skips;

@@ -21,19 +21,22 @@
 //
 // This module sits *below* whisk in the layer order (the controller
 // links against it), so worker ids are raw std::uint32_t, matching
-// sched::WorkerId / whisk::InvokerId width.
+// sched::WorkerId / whisk::InvokerId width. Per-function state is keyed
+// by the registry's dense sim::FunctionId in flat tables.
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "hpcwhisk/sim/function_id.hpp"
 #include "hpcwhisk/sim/time.hpp"
 
 namespace hpcwhisk::lease {
 
 using WorkerId = std::uint32_t;
 using LeaseId = std::uint64_t;
+using sim::FunctionId;
 
 /// Per-function serving tier from arrival statistics.
 enum class Tier : std::uint8_t {
@@ -66,8 +69,8 @@ struct LeaseConfig {
 };
 
 struct Lease {
-  LeaseId id{0};
-  std::string function;
+  LeaseId id{0};  ///< 0: no lease (ids start at 1)
+  FunctionId function;
   WorkerId worker{0};
   sim::SimTime granted_at;
   sim::SimTime expires_at;
@@ -83,40 +86,40 @@ class LeaseManager {
   LeaseManager& operator=(const LeaseManager&) = delete;
 
   /// Folds one arrival of `function` into its inter-arrival EWMA.
-  void observe_arrival(const std::string& function, sim::SimTime now);
+  void observe_arrival(FunctionId function, sim::SimTime now);
 
   /// Current tier from the arrival stats (kCold until min_arrivals).
-  [[nodiscard]] Tier tier(const std::string& function) const;
+  [[nodiscard]] Tier tier(FunctionId function) const;
 
   /// The active lease for `function`, or nullptr. An expired lease is
   /// lapsed here (counted in stats().expired) — expiry is lazy, there is
   /// no sweep event that could perturb the simulation's event count.
-  [[nodiscard]] const Lease* find(const std::string& function,
+  [[nodiscard]] const Lease* find(FunctionId function,
                                   sim::SimTime now);
 
   /// Grants a lease pinning `function` to `worker`. Returns nullptr if
   /// the function already holds a lease or the worker is at its cap.
-  const Lease* acquire(const std::string& function, WorkerId worker,
+  const Lease* acquire(FunctionId function, WorkerId worker,
                        sim::SimTime now);
 
   /// Extends the lease term from `now`. False if no lease exists.
-  bool renew(const std::string& function, sim::SimTime now);
+  bool renew(FunctionId function, sim::SimTime now);
 
   /// A successful direct invoke through the lease: counts the hit and
   /// auto-renews when configured.
-  void on_hit(const std::string& function, sim::SimTime now);
+  void on_hit(FunctionId function, sim::SimTime now);
 
   /// Drops the lease (backing invoker unusable). False if none existed.
-  bool revoke(const std::string& function);
+  bool revoke(FunctionId function);
 
   /// Drops every lease pinned to `worker` — the pilot was preempted,
   /// drained, or the node died. Returns how many were revoked.
   std::size_t revoke_worker(WorkerId worker);
 
-  [[nodiscard]] std::size_t lease_count() const { return leases_.size(); }
+  [[nodiscard]] std::size_t lease_count() const { return lease_count_; }
   [[nodiscard]] std::size_t leases_on(WorkerId worker) const;
   /// Smoothed inter-arrival gap (zero until two arrivals).
-  [[nodiscard]] sim::SimTime interarrival(const std::string& function) const;
+  [[nodiscard]] sim::SimTime interarrival(FunctionId function) const;
   [[nodiscard]] const LeaseConfig& config() const { return config_; }
 
   struct Stats {
@@ -135,11 +138,15 @@ class LeaseManager {
     std::uint64_t count{0};
   };
 
-  void drop(const std::string& function);
+  /// The function's lease slot, or nullptr if it holds no lease.
+  [[nodiscard]] Lease* active(FunctionId function);
+  void drop(Lease& lease);
 
   LeaseConfig config_;
-  std::unordered_map<std::string, Arrival> arrivals_;
-  std::unordered_map<std::string, Lease> leases_;
+  /// Index == FunctionId; both grow to the highest id seen.
+  std::vector<Arrival> arrivals_;
+  std::vector<Lease> leases_;
+  std::size_t lease_count_{0};
   std::unordered_map<WorkerId, std::size_t> per_worker_;
   LeaseId next_id_{1};
   Stats stats_;

@@ -16,20 +16,22 @@
 #include <vector>
 
 #include "hpcwhisk/runtime/runtime_profile.hpp"
+#include "hpcwhisk/sim/function_id.hpp"
 #include "hpcwhisk/sim/rng.hpp"
 #include "hpcwhisk/sim/time.hpp"
 
 namespace hpcwhisk::runtime {
 
 using ContainerId = std::uint64_t;
+using sim::FunctionId;
 
 enum class ContainerState { kWarming, kIdle, kBusy, kRemoved };
 
 struct Container {
   ContainerId id{0};
-  /// Function this container is specialized for; empty for prewarmed
+  /// Function this container is specialized for; invalid for prewarmed
   /// ("stem cell") containers that only carry a runtime kind.
-  std::string function;
+  FunctionId function;
   /// Runtime kind (image family), e.g. "python:3".
   std::string kind;
   std::int64_t memory_mb{0};
@@ -123,11 +125,11 @@ class ContainerPool {
   /// a cold start, evicting idle containers (oldest-first) if the cap or
   /// memory budget requires. Rejected iff the node cannot host the
   /// container even after evicting everything idle.
-  AcquireResult acquire(const std::string& function, std::int64_t memory_mb,
+  AcquireResult acquire(FunctionId function, std::int64_t memory_mb,
                         sim::SimTime now);
   /// As above, with the function's runtime kind: a booted stem cell of a
   /// matching kind is specialized in preference to a cold start.
-  AcquireResult acquire(const std::string& function, const std::string& kind,
+  AcquireResult acquire(FunctionId function, const std::string& kind,
                         std::int64_t memory_mb, sim::SimTime now);
 
   /// Tops the stem-cell pool back up to prewarm_count (capacity
@@ -165,11 +167,11 @@ class ContainerPool {
   /// fixed idle_timeout, or the per-function adaptive value (pressure-
   /// scaled under kHybrid). Exposed for tests and observability.
   [[nodiscard]] sim::SimTime effective_idle_timeout(
-      const std::string& function) const;
+      FunctionId function) const;
 
   /// True if an idle warm container for `function` (>= memory_mb) exists,
   /// i.e. an acquire right now would be a warm resume.
-  [[nodiscard]] bool has_warm_idle(const std::string& function,
+  [[nodiscard]] bool has_warm_idle(FunctionId function,
                                    std::int64_t memory_mb) const;
 
   /// True if a new container of `memory_mb` fits without evicting
@@ -213,8 +215,8 @@ class ContainerPool {
   void refill_prewarm(sim::SimTime now);
 
   /// Folds an acquire into the function's inter-arrival EWMA (adaptive
-  /// keep-alive policies only; kFixed never touches the map).
-  void note_arrival(const std::string& function, sim::SimTime now);
+  /// keep-alive policies only; kFixed never touches the table).
+  void note_arrival(FunctionId function, sim::SimTime now);
 
   struct InterArrival {
     sim::SimTime last;
@@ -233,9 +235,9 @@ class ContainerPool {
   std::size_t busy_count_{0};
   std::int64_t memory_in_use_mb_{0};
   ContainerId next_id_{1};
-  /// Per-function arrival stats for the adaptive keep-alive policies;
-  /// empty (never populated) under kFixed.
-  std::unordered_map<std::string, InterArrival> arrivals_;
+  /// Per-function arrival stats for the adaptive keep-alive policies,
+  /// index == FunctionId; empty (never populated) under kFixed.
+  std::vector<InterArrival> arrivals_;
   Counters counters_;
 };
 

@@ -29,12 +29,12 @@ ContainerPool::ContainerPool(Config config, RuntimeProfile profile,
                              sim::Rng rng)
     : config_{config}, profile_{profile}, rng_{rng} {}
 
-AcquireResult ContainerPool::acquire(const std::string& function,
+AcquireResult ContainerPool::acquire(FunctionId function,
                                      std::int64_t memory_mb, sim::SimTime now) {
   return acquire(function, std::string{}, memory_mb, now);
 }
 
-AcquireResult ContainerPool::acquire(const std::string& function,
+AcquireResult ContainerPool::acquire(FunctionId function,
                                      const std::string& kind,
                                      std::int64_t memory_mb, sim::SimTime now) {
   if (config_.keep_alive.policy != KeepAlivePolicy::kFixed)
@@ -92,7 +92,7 @@ AcquireResult ContainerPool::acquire(const std::string& function,
                        *eviction_latency + profile_.sample_cold_start(rng_)};
 }
 
-bool ContainerPool::has_warm_idle(const std::string& function,
+bool ContainerPool::has_warm_idle(FunctionId function,
                                   std::int64_t memory_mb) const {
   for (const ContainerId id : idle_lru_) {
     const Container& c = containers_.at(id);
@@ -180,9 +180,10 @@ void ContainerPool::remove(ContainerId id) {
   containers_.erase(it);
 }
 
-void ContainerPool::note_arrival(const std::string& function,
-                                 sim::SimTime now) {
-  InterArrival& a = arrivals_[function];
+void ContainerPool::note_arrival(FunctionId function, sim::SimTime now) {
+  if (function.value() >= arrivals_.size())
+    arrivals_.resize(function.value() + 1);
+  InterArrival& a = arrivals_[function.value()];
   if (a.count > 0) {
     const auto gap = static_cast<double>((now - a.last).ticks());
     a.ewma_us =
@@ -193,14 +194,14 @@ void ContainerPool::note_arrival(const std::string& function,
 }
 
 sim::SimTime ContainerPool::effective_idle_timeout(
-    const std::string& function) const {
+    FunctionId function) const {
   const KeepAliveConfig& ka = config_.keep_alive;
   if (ka.policy == KeepAlivePolicy::kFixed) return config_.idle_timeout;
   sim::SimTime base = config_.idle_timeout;  // no history yet: old behavior
-  const auto it = arrivals_.find(function);
-  if (it != arrivals_.end() && it->second.count >= 2) {
+  if (function.value() < arrivals_.size() &&
+      arrivals_[function.value()].count >= 2) {
     base = std::clamp(sim::SimTime::micros(static_cast<std::int64_t>(
-                          ka.margin * it->second.ewma_us)),
+                          ka.margin * arrivals_[function.value()].ewma_us)),
                       ka.floor, ka.ceiling);
   }
   if (ka.policy == KeepAlivePolicy::kAdaptive || base <= ka.floor) return base;

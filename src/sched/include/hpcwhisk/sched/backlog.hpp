@@ -58,8 +58,12 @@ class BacklogLedger {
   [[nodiscard]] const Charge* find(CallId call) const;
 
  private:
+  /// Grows on demand to the highest worker charged; index == WorkerId
+  /// (invoker ids are dense).
+  [[nodiscard]] std::int64_t& backlog_at(WorkerId worker);
+
   std::unordered_map<CallId, Charge> charges_;
-  std::unordered_map<WorkerId, std::int64_t> backlog_;
+  std::vector<std::int64_t> backlog_;
   std::int64_t total_{0};
 };
 

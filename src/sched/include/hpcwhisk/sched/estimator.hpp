@@ -23,9 +23,10 @@
 // lasted.
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "hpcwhisk/sim/function_id.hpp"
 #include "hpcwhisk/sim/time.hpp"
 
 namespace hpcwhisk::sched {
@@ -82,8 +83,13 @@ struct EstimatorConfig {
 };
 
 /// Per-function online duration model fed from activation completions.
+/// Models live in a flat table indexed by sim::FunctionId.
 class DurationEstimator {
+  struct Model;
+
  public:
+  using FunctionId = sim::FunctionId;
+
   /// Worker id meaning "not attributable to a worker" (matches the
   /// controller's kNoInvoker sentinel, ~0u): per-worker folding and
   /// lookups are skipped for it.
@@ -92,43 +98,58 @@ class DurationEstimator {
   explicit DurationEstimator(EstimatorConfig config = {})
       : config_{config} {}
 
-  /// Folds one completed execution into the function's model.
-  void observe(const std::string& function, sim::SimTime duration,
-               bool cold_start);
-  /// As above, additionally folding the (function, worker) model when
-  /// EstimatorConfig::per_worker is set and `worker` != kAnyWorker.
-  void observe(const std::string& function, sim::SimTime duration,
-               bool cold_start, std::uint32_t worker);
+  /// Folds one completed execution into the function's model, and into
+  /// the (function, worker) model when EstimatorConfig::per_worker is set
+  /// and `worker` != kAnyWorker.
+  void observe(FunctionId function, sim::SimTime duration, bool cold_start,
+               std::uint32_t worker = kAnyWorker);
+
+  /// A function's model looked up once (empty if never seen), so a route
+  /// over N candidates resolves it once instead of N times. Predictions
+  /// through it equal the FunctionId overloads, prior_hits included.
+  /// Valid until the next observe().
+  class Resolved {
+   public:
+    [[nodiscard]] bool seen() const { return model_ != nullptr; }
+
+   private:
+    friend class DurationEstimator;
+    const Model* model_{nullptr};
+  };
+  [[nodiscard]] Resolved resolve(FunctionId function) const;
 
   /// Best single-point prediction for one execution of `function`:
   /// warm EWMA if warm history exists, else cold EWMA, else the prior.
   /// Reads never mutate state (prior_hits is the only, explicit, tally).
-  [[nodiscard]] sim::SimTime predict(const std::string& function) const;
-  /// Worker-qualified prediction: the (function, worker) warm EWMA when
-  /// per_worker is on and that pair has history; otherwise identical to
-  /// the global predict() (same value, same prior_hits accounting).
-  [[nodiscard]] sim::SimTime predict(const std::string& function,
+  /// Worker-qualified: the (function, worker) warm EWMA when per_worker
+  /// is on and that pair has history; otherwise identical to the global
+  /// prediction (same value, same prior_hits accounting).
+  [[nodiscard]] sim::SimTime predict(FunctionId function,
+                                     std::uint32_t worker = kAnyWorker) const {
+    return predict(resolve(function), worker);
+  }
+  [[nodiscard]] sim::SimTime predict(const Resolved& function,
                                      std::uint32_t worker) const;
   /// Prediction for a cold execution (cold EWMA, falling back like
   /// predict()). The cold-start *overhead* is config().cold_overhead.
-  [[nodiscard]] sim::SimTime predict_cold(const std::string& function) const;
-  /// Worker-qualified cold prediction (see predict(function, worker)).
-  [[nodiscard]] sim::SimTime predict_cold(const std::string& function,
+  [[nodiscard]] sim::SimTime predict_cold(
+      FunctionId function, std::uint32_t worker = kAnyWorker) const {
+    return predict_cold(resolve(function), worker);
+  }
+  [[nodiscard]] sim::SimTime predict_cold(const Resolved& function,
                                           std::uint32_t worker) const;
   /// Tail estimate from the quantile sketch; predict() with no samples.
-  [[nodiscard]] sim::SimTime predict_quantile(const std::string& function,
+  [[nodiscard]] sim::SimTime predict_quantile(FunctionId function,
                                               double q) const;
   /// EWMA of |sample - mean| for the warm model (0 with no history):
   /// a dispersion signal for deadline classification.
-  [[nodiscard]] sim::SimTime deviation(const std::string& function) const;
+  [[nodiscard]] sim::SimTime deviation(FunctionId function) const;
 
-  [[nodiscard]] bool seen(const std::string& function) const {
-    return models_.find(function) != models_.end();
+  [[nodiscard]] bool seen(FunctionId function) const {
+    return resolve(function).seen();
   }
-  [[nodiscard]] std::uint64_t observations(const std::string& function) const;
-  [[nodiscard]] std::size_t tracked_functions() const {
-    return models_.size();
-  }
+  [[nodiscard]] std::uint64_t observations(FunctionId function) const;
+  [[nodiscard]] std::size_t tracked_functions() const { return tracked_; }
   [[nodiscard]] const EstimatorConfig& config() const { return config_; }
 
   struct Stats {
@@ -153,6 +174,7 @@ class DurationEstimator {
     Ewma cold;
   };
 
+  /// Seen iff warm.count + cold.count > 0 (every observe folds one).
   struct Model {
     Ewma warm;
     Ewma cold;
@@ -162,7 +184,9 @@ class DurationEstimator {
   };
 
   EstimatorConfig config_;
-  std::unordered_map<std::string, Model> models_;
+  /// Index == FunctionId; grows to the highest id observed.
+  std::vector<Model> models_;
+  std::size_t tracked_{0};
   Stats stats_;
 };
 

@@ -27,8 +27,6 @@
 // byte-identically (SimCheck hashes decision logs over these policies).
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "hpcwhisk/sched/backlog.hpp"
@@ -56,6 +54,8 @@ struct SchedConfig {
 
 class CallScheduler {
  public:
+  using FunctionId = sim::FunctionId;
+
   explicit CallScheduler(SchedConfig config = {})
       : config_{config}, estimator_{config.estimator} {}
 
@@ -84,12 +84,12 @@ class CallScheduler {
 
   /// Least-expected-work pick among `workers` (ascending, non-empty).
   [[nodiscard]] Decision route_least_expected_work(
-      const std::string& function, const std::vector<WorkerId>& workers);
+      FunctionId function, const std::vector<WorkerId>& workers);
 
   /// SJF-tiebroken hash affinity; `home_index` indexes into `workers`
   /// (the caller owns the hash — sched does not know function hashing).
   [[nodiscard]] Decision route_sjf_affinity(
-      const std::string& function, const std::vector<WorkerId>& workers,
+      FunctionId function, const std::vector<WorkerId>& workers,
       std::size_t home_index);
 
   // --- Lifecycle feedback (the controller drives these) --------------------
@@ -99,7 +99,7 @@ class CallScheduler {
 
   /// The call started executing on `by`. Moves (or re-creates, after a
   /// rescue) its charge and marks `by` warm for the function.
-  void on_started(CallId call, WorkerId by, const std::string& function);
+  void on_started(CallId call, WorkerId by, FunctionId function);
 
   /// The call left its queue for the fast lane (drain hand-off, rescue):
   /// its predicted work no longer waits on the charged worker.
@@ -115,15 +115,12 @@ class CallScheduler {
   };
 
   /// Terminal state: releases the charge and — for completed executions
-  /// (`actual` >= 0) — folds the actual duration into the estimator.
-  Outcome on_finished(CallId call, const std::string& function,
-                      std::int64_t actual_ticks, bool cold_start);
-  /// As above, attributing the sample to the worker that executed the
-  /// call (feeds the per-worker models when they are enabled; pass
-  /// DurationEstimator::kAnyWorker when unknown).
-  Outcome on_finished(CallId call, const std::string& function,
+  /// (`actual` >= 0) — folds the actual duration into the estimator,
+  /// attributed to the worker that executed the call (feeds the
+  /// per-worker models when they are enabled; kAnyWorker when unknown).
+  Outcome on_finished(CallId call, FunctionId function,
                       std::int64_t actual_ticks, bool cold_start,
-                      WorkerId worker);
+                      WorkerId worker = DurationEstimator::kAnyWorker);
 
   /// The worker vanished without hand-off: drop all its charges (the
   /// watchdog's rescue re-charges survivors when they restart).
@@ -135,8 +132,7 @@ class CallScheduler {
     return estimator_;
   }
   [[nodiscard]] const BacklogLedger& ledger() const { return ledger_; }
-  [[nodiscard]] bool is_warm(WorkerId worker,
-                             const std::string& function) const;
+  [[nodiscard]] bool is_warm(WorkerId worker, FunctionId function) const;
   [[nodiscard]] const SchedConfig& config() const { return config_; }
 
   struct Stats {
@@ -161,9 +157,18 @@ class CallScheduler {
     std::int64_t backlog{0};
     bool cold{false};
   };
-  [[nodiscard]] Cost cost_at(const std::string& function,
+  /// A function's model and warm set, resolved once per route.
+  struct FunctionView {
+    FunctionId id;
+    DurationEstimator::Resolved model;
+    const std::vector<WorkerId>* warm{nullptr};  ///< sorted
+  };
+  [[nodiscard]] FunctionView view(FunctionId function) const;
+  [[nodiscard]] const std::vector<WorkerId>& warm_set(
+      FunctionId function) const;
+  [[nodiscard]] Cost cost_at(const FunctionView& function,
                              WorkerId worker) const;
-  [[nodiscard]] Decision finalize(const std::string& function,
+  [[nodiscard]] Decision finalize(const FunctionView& function,
                                   WorkerId worker, const Cost& cost,
                                   std::size_t candidates, WorkerId runner_up,
                                   std::int64_t runner_up_cost);
@@ -171,10 +176,10 @@ class CallScheduler {
   SchedConfig config_;
   DurationEstimator estimator_;
   BacklogLedger ledger_;
-  /// Workers holding (or having held) a warm container for a function.
-  /// Small sorted vectors: worker counts are tens-to-hundreds and the
-  /// order makes iteration deterministic.
-  std::unordered_map<std::string, std::vector<WorkerId>> warm_;
+  /// Workers holding (or having held) a warm container for a function,
+  /// indexed by FunctionId. Small sorted vectors: worker counts are
+  /// tens-to-hundreds and the order makes iteration deterministic.
+  std::vector<std::vector<WorkerId>> warm_;
   Stats stats_;
 };
 

@@ -71,15 +71,11 @@ void DurationEstimator::Ewma::fold(double sample, double alpha) {
   ++count;
 }
 
-void DurationEstimator::observe(const std::string& function,
-                                sim::SimTime duration, bool cold_start) {
-  observe(function, duration, cold_start, kAnyWorker);
-}
-
-void DurationEstimator::observe(const std::string& function,
-                                sim::SimTime duration, bool cold_start,
-                                std::uint32_t worker) {
-  Model& model = models_[function];
+void DurationEstimator::observe(FunctionId function, sim::SimTime duration,
+                                bool cold_start, std::uint32_t worker) {
+  if (function.value() >= models_.size()) models_.resize(function.value() + 1);
+  Model& model = models_[function.value()];
+  if (model.warm.count + model.cold.count == 0) ++tracked_;
   const auto sample = static_cast<double>(duration.ticks());
   (cold_start ? model.cold : model.warm).fold(sample, config_.alpha);
   model.sketch.observe(sample);
@@ -91,86 +87,68 @@ void DurationEstimator::observe(const std::string& function,
   if (cold_start) ++stats_.cold_observations;
 }
 
-sim::SimTime DurationEstimator::predict(const std::string& function) const {
-  const auto it = models_.find(function);
-  if (it == models_.end()) {
-    ++stats_.prior_hits;
-    return config_.prior;
+DurationEstimator::Resolved DurationEstimator::resolve(
+    FunctionId function) const {
+  Resolved r;
+  if (function.value() < models_.size()) {
+    const Model& m = models_[function.value()];
+    if (m.warm.count + m.cold.count > 0) r.model_ = &m;
   }
-  const Model& m = it->second;
-  const Ewma& e = m.warm.count > 0 ? m.warm : m.cold;
-  return sim::SimTime::micros(static_cast<std::int64_t>(e.mean));
+  return r;
 }
 
-sim::SimTime DurationEstimator::predict(const std::string& function,
+sim::SimTime DurationEstimator::predict(const Resolved& function,
                                         std::uint32_t worker) const {
-  if (!config_.per_worker || worker == kAnyWorker) return predict(function);
-  const auto it = models_.find(function);
-  if (it == models_.end()) {
+  const Model* m = function.model_;
+  if (m == nullptr) {
     ++stats_.prior_hits;
     return config_.prior;
   }
-  const Model& m = it->second;
-  const auto w = m.per_worker.find(worker);
-  if (w != m.per_worker.end() && w->second.warm.count > 0)
-    return sim::SimTime::micros(
-        static_cast<std::int64_t>(w->second.warm.mean));
-  const Ewma& e = m.warm.count > 0 ? m.warm : m.cold;
-  return sim::SimTime::micros(static_cast<std::int64_t>(e.mean));
-}
-
-sim::SimTime DurationEstimator::predict_cold(
-    const std::string& function) const {
-  const auto it = models_.find(function);
-  if (it == models_.end()) {
-    ++stats_.prior_hits;
-    return config_.prior;
+  if (config_.per_worker && worker != kAnyWorker) {
+    const auto w = m->per_worker.find(worker);
+    if (w != m->per_worker.end() && w->second.warm.count > 0)
+      return sim::SimTime::micros(
+          static_cast<std::int64_t>(w->second.warm.mean));
   }
-  const Model& m = it->second;
-  const Ewma& e = m.cold.count > 0 ? m.cold : m.warm;
+  const Ewma& e = m->warm.count > 0 ? m->warm : m->cold;
   return sim::SimTime::micros(static_cast<std::int64_t>(e.mean));
 }
 
-sim::SimTime DurationEstimator::predict_cold(const std::string& function,
+sim::SimTime DurationEstimator::predict_cold(const Resolved& function,
                                              std::uint32_t worker) const {
-  if (!config_.per_worker || worker == kAnyWorker)
-    return predict_cold(function);
-  const auto it = models_.find(function);
-  if (it == models_.end()) {
+  const Model* m = function.model_;
+  if (m == nullptr) {
     ++stats_.prior_hits;
     return config_.prior;
   }
-  const Model& m = it->second;
-  const auto w = m.per_worker.find(worker);
-  if (w != m.per_worker.end() && w->second.cold.count > 0)
-    return sim::SimTime::micros(
-        static_cast<std::int64_t>(w->second.cold.mean));
-  const Ewma& e = m.cold.count > 0 ? m.cold : m.warm;
+  if (config_.per_worker && worker != kAnyWorker) {
+    const auto w = m->per_worker.find(worker);
+    if (w != m->per_worker.end() && w->second.cold.count > 0)
+      return sim::SimTime::micros(
+          static_cast<std::int64_t>(w->second.cold.mean));
+  }
+  const Ewma& e = m->cold.count > 0 ? m->cold : m->warm;
   return sim::SimTime::micros(static_cast<std::int64_t>(e.mean));
 }
 
-sim::SimTime DurationEstimator::predict_quantile(const std::string& function,
+sim::SimTime DurationEstimator::predict_quantile(FunctionId function,
                                                  double q) const {
-  const auto it = models_.find(function);
-  if (it == models_.end() || it->second.sketch.count() == 0) {
-    return predict(function);
-  }
+  const Resolved r = resolve(function);
+  if (!r.seen()) return predict(r, kAnyWorker);
   return sim::SimTime::micros(
-      static_cast<std::int64_t>(it->second.sketch.quantile(q)));
+      static_cast<std::int64_t>(r.model_->sketch.quantile(q)));
 }
 
-sim::SimTime DurationEstimator::deviation(const std::string& function) const {
-  const auto it = models_.find(function);
-  if (it == models_.end()) return sim::SimTime::zero();
+sim::SimTime DurationEstimator::deviation(FunctionId function) const {
+  const Resolved r = resolve(function);
+  if (!r.seen()) return sim::SimTime::zero();
   return sim::SimTime::micros(
-      static_cast<std::int64_t>(it->second.warm.abs_dev));
+      static_cast<std::int64_t>(r.model_->warm.abs_dev));
 }
 
-std::uint64_t DurationEstimator::observations(
-    const std::string& function) const {
-  const auto it = models_.find(function);
-  if (it == models_.end()) return 0;
-  return it->second.warm.count + it->second.cold.count;
+std::uint64_t DurationEstimator::observations(FunctionId function) const {
+  const Resolved r = resolve(function);
+  return r.seen() ? r.model_->warm.count + r.model_->cold.count : 0;
 }
 
 }  // namespace hpcwhisk::sched

@@ -4,26 +4,39 @@
 
 namespace hpcwhisk::sched {
 
-CallScheduler::Cost CallScheduler::cost_at(const std::string& function,
+const std::vector<WorkerId>& CallScheduler::warm_set(
+    FunctionId function) const {
+  static const std::vector<WorkerId> kNone;
+  return function.value() < warm_.size() ? warm_[function.value()] : kNone;
+}
+
+CallScheduler::FunctionView CallScheduler::view(FunctionId function) const {
+  return FunctionView{function, estimator_.resolve(function),
+                      &warm_set(function)};
+}
+
+CallScheduler::Cost CallScheduler::cost_at(const FunctionView& function,
                                            WorkerId worker) const {
   Cost c;
-  c.cold = !is_warm(worker, function);
+  c.cold = !std::binary_search(function.warm->begin(), function.warm->end(),
+                               worker);
   c.backlog = ledger_.backlog(worker);
   // Worker-qualified predictions: identical to the global model unless
   // per-worker models are enabled and this (function, worker) pair has
-  // history of its own.
+  // history of its own. For an unseen function each counts one
+  // prior_hits: the tally is per prediction, so per candidate.
   if (c.cold) {
-    c.predicted = estimator_.predict_cold(function, worker).ticks();
+    c.predicted = estimator_.predict_cold(function.model, worker).ticks();
     c.cost = c.backlog + c.predicted + config_.estimator.cold_overhead.ticks();
   } else {
-    c.predicted = estimator_.predict(function, worker).ticks();
+    c.predicted = estimator_.predict(function.model, worker).ticks();
     c.cost = c.backlog + c.predicted;
   }
   return c;
 }
 
 CallScheduler::Decision CallScheduler::finalize(
-    const std::string& function, WorkerId worker, const Cost& cost,
+    const FunctionView& function, WorkerId worker, const Cost& cost,
     std::size_t candidates, WorkerId runner_up,
     std::int64_t runner_up_cost) {
   Decision d;
@@ -38,14 +51,15 @@ CallScheduler::Decision CallScheduler::finalize(
   d.backlog_ticks = cost.backlog;
   d.candidates = static_cast<std::uint32_t>(candidates);
   if (config_.deadline_classes) {
-    sim::SimTime metric = estimator_.predict(function);
+    sim::SimTime metric = estimator_.predict(
+        function.model, DurationEstimator::kAnyWorker);
     if (config_.short_class_deviation_factor > 0.0) {
       // Dispersion guard: high-variance functions must predict well
       // under the bound before they may jump queues.
       metric = metric + sim::SimTime::micros(static_cast<std::int64_t>(
                             config_.short_class_deviation_factor *
                             static_cast<double>(
-                                estimator_.deviation(function).ticks())));
+                                estimator_.deviation(function.id).ticks())));
     }
     if (metric <= config_.short_class_bound) {
       d.short_class = true;
@@ -58,7 +72,8 @@ CallScheduler::Decision CallScheduler::finalize(
 }
 
 CallScheduler::Decision CallScheduler::route_least_expected_work(
-    const std::string& function, const std::vector<WorkerId>& workers) {
+    FunctionId id, const std::vector<WorkerId>& workers) {
+  const FunctionView function = view(id);
   WorkerId best = workers.front();
   Cost best_cost = cost_at(function, best);
   // Second-best tracking is explainability bookkeeping only: the chosen
@@ -86,8 +101,9 @@ CallScheduler::Decision CallScheduler::route_least_expected_work(
 }
 
 CallScheduler::Decision CallScheduler::route_sjf_affinity(
-    const std::string& function, const std::vector<WorkerId>& workers,
+    FunctionId id, const std::vector<WorkerId>& workers,
     std::size_t home_index) {
+  const FunctionView function = view(id);
   home_index %= workers.size();
   const WorkerId home = workers[home_index];
   const Cost home_cost = cost_at(function, home);
@@ -132,7 +148,7 @@ void CallScheduler::on_routed(CallId call, const Decision& decision) {
 }
 
 void CallScheduler::on_started(CallId call, WorkerId by,
-                               const std::string& function) {
+                               FunctionId function) {
   if (ledger_.find(call) != nullptr) {
     ledger_.move(call, by);
   } else {
@@ -143,7 +159,8 @@ void CallScheduler::on_started(CallId call, WorkerId by,
     ledger_.assign(call, by, predicted, predicted);
     ++stats_.rescue_charges;
   }
-  auto& warm = warm_[function];
+  if (function.value() >= warm_.size()) warm_.resize(function.value() + 1);
+  auto& warm = warm_[function.value()];
   const auto it = std::lower_bound(warm.begin(), warm.end(), by);
   if (it == warm.end() || *it != by) warm.insert(it, by);
 }
@@ -151,15 +168,7 @@ void CallScheduler::on_started(CallId call, WorkerId by,
 void CallScheduler::on_requeued(CallId call) { (void)ledger_.release(call); }
 
 CallScheduler::Outcome CallScheduler::on_finished(CallId call,
-                                                  const std::string& function,
-                                                  std::int64_t actual_ticks,
-                                                  bool cold_start) {
-  return on_finished(call, function, actual_ticks, cold_start,
-                     DurationEstimator::kAnyWorker);
-}
-
-CallScheduler::Outcome CallScheduler::on_finished(CallId call,
-                                                  const std::string& function,
+                                                  FunctionId function,
                                                   std::int64_t actual_ticks,
                                                   bool cold_start,
                                                   WorkerId worker) {
@@ -185,17 +194,15 @@ CallScheduler::Outcome CallScheduler::on_finished(CallId call,
 
 void CallScheduler::forget_worker(WorkerId worker) {
   stats_.forgotten += ledger_.forget_worker(worker);
-  for (auto& [fn, warm] : warm_) {
+  for (auto& warm : warm_) {
     const auto it = std::lower_bound(warm.begin(), warm.end(), worker);
     if (it != warm.end() && *it == worker) warm.erase(it);
   }
 }
 
-bool CallScheduler::is_warm(WorkerId worker,
-                            const std::string& function) const {
-  const auto it = warm_.find(function);
-  if (it == warm_.end()) return false;
-  return std::binary_search(it->second.begin(), it->second.end(), worker);
+bool CallScheduler::is_warm(WorkerId worker, FunctionId function) const {
+  const std::vector<WorkerId>& warm = warm_set(function);
+  return std::binary_search(warm.begin(), warm.end(), worker);
 }
 
 }  // namespace hpcwhisk::sched

@@ -76,6 +76,14 @@ class EventQueue {
                    SimTime scheduled_at = SimTime::zero(),
                    std::int64_t rank = 0);
 
+  /// Takes the sequence number the next schedule() would get, for an
+  /// event that will be scheduled later in that FIFO position (see
+  /// Simulation::reserve()). Each reserved number is used at most once.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+  /// schedule() with a reserved sequence number, rank 0.
+  EventId schedule_reserved(SimTime when, Callback cb, SimTime scheduled_at,
+                            std::uint64_t seq);
+
   /// Cancels a previously scheduled event. Returns false if the event
   /// already fired or was already cancelled. The callback (and anything
   /// it captures) is destroyed before this returns.
@@ -150,6 +158,9 @@ class EventQueue {
     std::uint64_t seq{0};  ///< 0 while dead/free
     std::uint32_t next_free{kNoSlot};
   };
+
+  EventId insert(SimTime when, Callback cb, SimTime scheduled_at,
+                 std::int64_t rank, std::uint64_t seq);
 
   [[nodiscard]] bool entry_live(const Entry& e) const {
     return slots_[e.slot].seq == e.seq;

@@ -76,6 +76,23 @@ class Simulation {
   /// until the returned handle is stopped or the simulation ends.
   PeriodicHandle every(SimTime interval, Callback cb);
 
+  /// The FIFO position an event armed right now would take, kept for an
+  /// event its owner arms later, if at all (the controller's lazy call
+  /// timeouts). Reserving costs no queue work; use each at most once.
+  struct Reservation {
+    SimTime armed_at;
+    std::uint64_t seq{0};
+  };
+  [[nodiscard]] Reservation reserve() { return {now_, queue_.reserve_seq()}; }
+
+  /// Schedules `cb` at `when` (>= now()) in a reserved position: among
+  /// all events it fires exactly where `at(when, cb)` called at
+  /// reservation time would have.
+  EventId at_reserved(SimTime when, Reservation r, Callback cb) {
+    if (when < now_) throw std::invalid_argument("Simulation::at_reserved: time in the past");
+    return queue_.schedule_reserved(when, std::move(cb), r.armed_at, r.seq);
+  }
+
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// A periodic series whose firings its owner arms one at a time and

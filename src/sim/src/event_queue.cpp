@@ -87,7 +87,16 @@ void EventQueue::rebuild_heap() {
 
 EventId EventQueue::schedule(SimTime when, Callback cb, SimTime scheduled_at,
                              std::int64_t rank) {
-  const std::uint64_t seq = next_seq_++;
+  return insert(when, std::move(cb), scheduled_at, rank, next_seq_++);
+}
+
+EventId EventQueue::schedule_reserved(SimTime when, Callback cb,
+                                      SimTime scheduled_at, std::uint64_t seq) {
+  return insert(when, std::move(cb), scheduled_at, 0, seq);
+}
+
+EventId EventQueue::insert(SimTime when, Callback cb, SimTime scheduled_at,
+                           std::int64_t rank, std::uint64_t seq) {
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
     slot = free_head_;

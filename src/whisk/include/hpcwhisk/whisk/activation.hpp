@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <string>
 
+#include "hpcwhisk/sim/function_id.hpp"
 #include "hpcwhisk/sim/time.hpp"
 
 namespace hpcwhisk::whisk {
@@ -33,8 +34,11 @@ enum class ActivationState : std::uint8_t {
 
 struct ActivationRecord {
   ActivationId id{0};
+  /// The function's name, as the client submitted it.
   std::string function;
   ActivationState state{ActivationState::kQueued};
+  /// The same function, interned (sits in the padding after `state`).
+  sim::FunctionId function_id;
   sim::SimTime submit_time;
   /// Most recent execution attempt began (zero if never executed). After
   /// a drain interruption + fast-lane reroute this is the restart time;

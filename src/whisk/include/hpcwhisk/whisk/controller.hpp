@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -128,7 +129,9 @@ class Controller {
 
   /// Invokes `function`. Returns 503 (accepted == false) when no healthy
   /// invoker exists; otherwise records the activation and publishes it to
-  /// the chosen invoker's topic.
+  /// the chosen invoker's topic. The name is resolved to its FunctionId
+  /// here, in the call's one registry lookup; everything past this point
+  /// works on the id. Throws std::out_of_range for an unknown name.
   SubmitResult submit(const std::string& function);
 
   /// Completion callback: fires exactly once when the activation reaches
@@ -281,18 +284,37 @@ class Controller {
   };
 
   /// Picks the target invoker among `healthy` for `function`.
-  [[nodiscard]] InvokerId route(const std::string& function,
+  [[nodiscard]] InvokerId route(FunctionId function,
                                 const std::vector<InvokerId>& healthy);
 
   /// Serves an accepted call (records_.back()) through its lease's
   /// direct seam: same bookkeeping, trace chain and decision-log entry
   /// as the queue path, minus the topic publish.
-  SubmitResult submit_leased(const std::string& function,
-                             const FunctionSpec& spec, const lease::Lease& l,
+  SubmitResult submit_leased(const FunctionSpec& spec, const lease::Lease& l,
                              const DirectSeam& seam);
 
-  /// Arms the client-visible timeout for an accepted activation.
+  /// Client-visible timeouts, one FIFO per distinct timeout value. Calls
+  /// of one value enter in submit order, so their deadlines (submit +
+  /// timeout) are monotone and only the head needs an event. A call that
+  /// ends early stays queued; it is dropped when it reaches the head.
+  struct PendingTimeout {
+    ActivationId call;
+    /// The event-queue position the call's own timeout event would have
+    /// taken, reserved at submit.
+    sim::Simulation::Reservation slot;
+  };
+  struct DeadlineFifo {
+    sim::SimTime timeout;
+    std::deque<PendingTimeout> calls;
+    bool armed{false};  ///< an event is due at the head's deadline
+  };
+  /// Queues an accepted activation on its timeout value's FIFO.
   void arm_timeout(const FunctionSpec& spec, ActivationId id);
+  /// Arms the event for the FIFO's head in the head's reserved slot.
+  void arm_head(std::size_t fifo);
+  /// The head's deadline: times out every call due now, drops terminal
+  /// ones, re-arms for the next live head.
+  void on_deadline(std::size_t fifo);
 
   /// Drops every lease on `id` and forgets its direct seam (drain,
   /// deregistration, watchdog kill). No-op when leasing is off.
@@ -336,7 +358,8 @@ class Controller {
   /// Sum of InvokerEntry::in_flight over all entries.
   std::uint64_t total_in_flight_{0};
   std::vector<ActivationRecord> records_;       // index == ActivationId
-  std::unordered_map<ActivationId, sim::EventId> timeout_events_;
+  /// One per distinct timeout value, in first-use order (a handful).
+  std::vector<DeadlineFifo> deadlines_;
   std::unordered_map<ActivationId, std::vector<CompletionCallback>>
       completion_callbacks_;
   /// Present only for data-driven route modes.

@@ -6,18 +6,23 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "hpcwhisk/sim/function_id.hpp"
 #include "hpcwhisk/sim/rng.hpp"
 #include "hpcwhisk/sim/time.hpp"
 
 namespace hpcwhisk::whisk {
 
+using sim::FunctionId;
+
 struct FunctionSpec {
   std::string name;
+  /// Dense id stamped by FunctionRegistry::put; invalid on a spec that
+  /// was never registered.
+  FunctionId id;
   /// Runtime kind (image family) the function needs; a matching
   /// prewarmed stem-cell container turns its first call into a near-warm
   /// start.
@@ -49,20 +54,38 @@ struct FunctionSpec {
                                                    sim::SimTime d,
                                                    std::int64_t memory_mb = 256);
 
+/// The one name -> id table: interns each function name at registration
+/// into the next dense FunctionId, so every layer past the client edge
+/// indexes flat tables by id.
 class FunctionRegistry {
  public:
-  /// Registers (or replaces) a function.
-  void put(FunctionSpec spec);
+  /// Registers (or replaces) a function and returns its id: a new name
+  /// gets the next id in registration order, a re-put keeps its id.
+  FunctionId put(FunctionSpec spec);
 
+  /// Id of a registered name. Throws std::out_of_range if absent.
+  [[nodiscard]] FunctionId id(const std::string& name) const;
   [[nodiscard]] const FunctionSpec* find(const std::string& name) const;
   /// Throws std::out_of_range if absent.
   [[nodiscard]] const FunctionSpec& at(const std::string& name) const;
+  /// By id: an index, no hashing. Throws std::out_of_range for an id
+  /// this registry did not hand out.
+  [[nodiscard]] const FunctionSpec& at(FunctionId id) const {
+    return specs_.at(id.value());
+  }
+  /// function_hash() of the name, computed once at registration.
+  [[nodiscard]] std::uint64_t hash(FunctionId id) const {
+    return hashes_.at(id.value());
+  }
 
-  [[nodiscard]] std::size_t size() const { return functions_.size(); }
+  [[nodiscard]] std::size_t size() const { return specs_.size(); }
+  /// Registered names in id order.
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
-  std::unordered_map<std::string, FunctionSpec> functions_;
+  std::unordered_map<std::string, FunctionId> ids_;
+  std::vector<FunctionSpec> specs_;    // index == FunctionId
+  std::vector<std::uint64_t> hashes_;  // index == FunctionId
 };
 
 /// FNV-1a hash of the function name; OpenWhisk derives the "home" invoker

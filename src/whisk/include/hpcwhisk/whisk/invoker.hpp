@@ -128,7 +128,7 @@ class Invoker {
   [[nodiscard]] bool can_direct_invoke(const FunctionSpec& spec) const {
     return started_ && !draining_ && !dead_ && !stalled_ &&
            running_.size() < config_.max_concurrent &&
-           (pool_.has_warm_idle(spec.name, spec.memory_mb) ||
+           (pool_.has_warm_idle(spec.id, spec.memory_mb) ||
             pool_.can_admit(spec.memory_mb));
   }
   /// Direct hand-over of a leased call: starts execution immediately,

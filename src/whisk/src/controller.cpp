@@ -126,12 +126,14 @@ std::string Controller::invoker_topic_name(InvokerId id) {
 }
 
 SubmitResult Controller::submit(const std::string& function) {
-  const FunctionSpec& spec = registry_.at(function);
+  const FunctionId fid = registry_.id(function);
+  const FunctionSpec& spec = registry_.at(fid);
   ++counters_.submitted;
 
   ActivationRecord rec;
   rec.id = records_.size();
   rec.function = function;
+  rec.function_id = fid;
   rec.submit_time = sim_.now();
 
   const std::vector<InvokerId>& healthy = healthy_view();
@@ -151,12 +153,13 @@ SubmitResult Controller::submit(const std::string& function) {
     return SubmitResult{false, rec.id};
   }
 
-  records_.push_back(rec);
+  // Only rec's name moves; its id and times stay readable below.
+  records_.push_back(std::move(rec));
   ++counters_.accepted;
 
   if (leases_) {
-    leases_->observe_arrival(function, sim_.now());
-    if (const lease::Lease* l = leases_->find(function, sim_.now())) {
+    leases_->observe_arrival(fid, sim_.now());
+    if (const lease::Lease* l = leases_->find(fid, sim_.now())) {
       const InvokerId worker = l->worker;
       const bool usable = worker < invokers_.size() &&
                           invokers_[worker].health == InvokerHealth::kHealthy &&
@@ -164,19 +167,19 @@ SubmitResult Controller::submit(const std::string& function) {
       if (!usable) {
         // The leased worker is gone (or never exposed a seam): the lease
         // is stale, not merely busy — revoke it and route normally.
-        leases_->revoke(function);
+        leases_->revoke(fid);
         ++counters_.lease_fallback;
       } else if (!direct_[worker].ready(spec)) {
         // Worker alive but saturated: keep the lease (the burst will
         // pass) and pay the queue path for this call only.
         ++counters_.lease_fallback;
       } else {
-        return submit_leased(function, spec, *l, direct_[worker]);
+        return submit_leased(spec, *l, direct_[worker]);
       }
     }
   }
 
-  const InvokerId target = route(function, healthy);
+  const InvokerId target = route(fid, healthy);
   records_.back().routed_to = target;
   ++invokers_[target].in_flight;
   ++total_in_flight_;
@@ -223,7 +226,7 @@ SubmitResult Controller::submit(const std::string& function) {
 
   mq::Message msg;
   msg.id = rec.id;
-  msg.key = function;
+  msg.function_id = fid;
   // Handle cached at registration: no string build, no hash, no broker
   // lock on the per-submit path.
   mq::Topic& topic = *invokers_[target].topic;
@@ -238,8 +241,8 @@ SubmitResult Controller::submit(const std::string& function) {
 
   // A hot function earns a lease on the invoker it just routed to, so
   // its next call skips the queue entirely.
-  if (leases_ && leases_->tier(function) == lease::Tier::kHot &&
-      leases_->acquire(function, target, sim_.now()) != nullptr) {
+  if (leases_ && leases_->tier(fid) == lease::Tier::kHot &&
+      leases_->acquire(fid, target, sim_.now()) != nullptr) {
     ++counters_.lease_granted;
   }
 
@@ -247,8 +250,7 @@ SubmitResult Controller::submit(const std::string& function) {
   return SubmitResult{true, rec.id};
 }
 
-SubmitResult Controller::submit_leased(const std::string& function,
-                                       const FunctionSpec& spec,
+SubmitResult Controller::submit_leased(const FunctionSpec& spec,
                                        const lease::Lease& l,
                                        const DirectSeam& seam) {
   ActivationRecord& rec = records_.back();
@@ -262,7 +264,7 @@ SubmitResult Controller::submit_leased(const std::string& function,
     // be, so the conservation audit and backlog predictions stay honest.
     lease_candidate_.assign(1, target);
     const sched::CallScheduler::Decision d =
-        scheduler_->route_least_expected_work(function, lease_candidate_);
+        scheduler_->route_least_expected_work(spec.id, lease_candidate_);
     scheduler_->on_routed(act_id, d);
   }
   HW_OBS_IF(config_.obs) {
@@ -278,15 +280,15 @@ SubmitResult Controller::submit_leased(const std::string& function,
     why.call = act_id;
     why.at = sim_.now();
     why.policy = "lease";
-    why.function = function;
+    why.function = spec.name;
     why.chosen = target;
     why.candidates = 1;
     config_.obs->decisions.record(std::move(why));
   }
   mq::Message msg;
   msg.id = act_id;
-  msg.key = function;
-  leases_->on_hit(function, sim_.now());
+  msg.function_id = spec.id;
+  leases_->on_hit(spec.id, sim_.now());
   ++counters_.lease_hits;
   seam.invoke(std::move(msg));
   arm_timeout(spec, act_id);
@@ -294,21 +296,49 @@ SubmitResult Controller::submit_leased(const std::string& function,
 }
 
 void Controller::arm_timeout(const FunctionSpec& spec, ActivationId act_id) {
-  timeout_events_[act_id] =
-      sim_.after(spec.timeout, [this, act_id] {
-        timeout_events_.erase(act_id);
-        ActivationRecord& r = record(act_id);
-        if (!is_terminal(r.state)) {
-          ++counters_.timed_out;
-          finish(r, ActivationState::kTimedOut);
-        }
-      });
+  std::size_t fifo = 0;
+  while (fifo < deadlines_.size() && deadlines_[fifo].timeout != spec.timeout)
+    ++fifo;
+  if (fifo == deadlines_.size()) deadlines_.push_back({spec.timeout, {}, false});
+  deadlines_[fifo].calls.push_back({act_id, sim_.reserve()});
+  if (!deadlines_[fifo].armed) arm_head(fifo);
 }
 
-InvokerId Controller::route(const std::string& function,
+void Controller::arm_head(std::size_t fifo) {
+  DeadlineFifo& d = deadlines_[fifo];
+  const sim::Simulation::Reservation slot = d.calls.front().slot;
+  d.armed = true;
+  sim_.at_reserved(slot.armed_at + d.timeout, slot,
+                   [this, fifo] { on_deadline(fifo); });
+}
+
+void Controller::on_deadline(std::size_t fifo) {
+  // Deadlines are monotone, so the live calls due now lead the FIFO in
+  // the order their own events would have fired. `armed` stays set
+  // throughout: a call that finish() submits (a completion callback)
+  // only joins the tail, behind every due call.
+  for (;;) {
+    DeadlineFifo& d = deadlines_[fifo];  // finish() may grow deadlines_
+    if (d.calls.empty()) {
+      d.armed = false;
+      return;
+    }
+    ActivationRecord& r = records_[d.calls.front().call];
+    const bool live = !is_terminal(r.state);
+    if (live && r.submit_time + d.timeout > sim_.now()) break;
+    d.calls.pop_front();
+    if (live) {
+      ++counters_.timed_out;
+      finish(r, ActivationState::kTimedOut);
+    }
+  }
+  arm_head(fifo);
+}
+
+InvokerId Controller::route(FunctionId function,
                             const std::vector<InvokerId>& healthy) {
   const std::size_t n = healthy.size();
-  const std::uint64_t hash = function_hash(function);
+  const std::uint64_t hash = registry_.hash(function);
   switch (config_.route_mode) {
     case RouteMode::kHashOnly:
       return healthy[hash % n];
@@ -499,7 +529,7 @@ void Controller::rescue_in_flight(
       continue;
     mq::Message msg;
     msg.id = rec.id;
-    msg.key = rec.function;
+    msg.function_id = rec.function_id;
     requeue_to_fast_lane(std::move(msg));
   }
 }
@@ -537,7 +567,7 @@ void Controller::activation_started(ActivationId id, InvokerId by,
   rec.start_time = sim_.now();
   rec.executed_by = by;
   rec.cold_start = cold_start;
-  if (scheduler_) scheduler_->on_started(rec.id, by, rec.function);
+  if (scheduler_) scheduler_->on_started(rec.id, by, rec.function_id);
 }
 
 void Controller::activation_completed(ActivationId id) {
@@ -606,7 +636,7 @@ void Controller::finish(ActivationRecord& rec, ActivationState state) {
     // executed_by doubles as the estimator's kAnyWorker sentinel (~0u)
     // when the call never started anywhere.
     const sched::CallScheduler::Outcome outcome = scheduler_->on_finished(
-        rec.id, rec.function, actual, rec.cold_start, rec.executed_by);
+        rec.id, rec.function_id, actual, rec.cold_start, rec.executed_by);
     if (outcome.observed) {
       HW_OBS_IF(config_.obs) {
         h_pred_error_->observe(static_cast<double>(outcome.abs_error_ticks));
@@ -626,20 +656,17 @@ void Controller::finish(ActivationRecord& rec, ActivationState state) {
     --invokers_[rec.routed_to].in_flight;
     --total_in_flight_;
   }
-  const auto evt = timeout_events_.find(rec.id);
-  if (evt != timeout_events_.end()) {
-    sim_.cancel(evt->second);
-    timeout_events_.erase(evt);
-  }
+  // A pending timeout needs no cancel: the call's deadline FIFO drops
+  // it when it reaches the head.
 
   // Action sequence: chain the next function on success.
   if (state == ActivationState::kCompleted) {
-    const FunctionSpec* spec = registry_.find(rec.function);
-    if (spec != nullptr && !spec->next.empty()) {
+    const FunctionSpec& spec = registry_.at(rec.function_id);
+    if (!spec.next.empty()) {
       ++counters_.sequence_invocations;
       // Defer to a fresh event: finish() may be running deep inside an
       // invoker's completion chain and submit() re-enters routing state.
-      const std::string next = spec->next;
+      const std::string next = spec.next;
       const ActivationId origin = rec.id;
       sim_.at(sim_.now(), [this, next, origin] {
         const auto result = submit(next);
@@ -654,6 +681,7 @@ void Controller::finish(ActivationRecord& rec, ActivationState state) {
   if (terminal_observer_) terminal_observer_(rec);
 
   // Completion callbacks fire after all bookkeeping.
+  if (completion_callbacks_.empty()) return;
   const auto cbs = completion_callbacks_.find(rec.id);
   if (cbs != completion_callbacks_.end()) {
     auto list = std::move(cbs->second);

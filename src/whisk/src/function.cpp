@@ -13,31 +13,43 @@ FunctionSpec fixed_duration_function(std::string name, sim::SimTime d,
   return spec;
 }
 
-void FunctionRegistry::put(FunctionSpec spec) {
+FunctionId FunctionRegistry::put(FunctionSpec spec) {
   if (spec.name.empty())
     throw std::invalid_argument("FunctionRegistry::put: empty name");
   if (!spec.duration)
     throw std::invalid_argument("FunctionRegistry::put: missing duration model");
-  const std::string name = spec.name;
-  functions_[name] = std::move(spec);
+  const auto [it, fresh] = ids_.try_emplace(
+      spec.name, FunctionId{static_cast<std::uint32_t>(specs_.size())});
+  spec.id = it->second;
+  if (fresh) {
+    hashes_.push_back(function_hash(spec.name));
+    specs_.push_back(std::move(spec));
+  } else {
+    specs_[spec.id.value()] = std::move(spec);
+  }
+  return it->second;
 }
 
-const FunctionSpec* FunctionRegistry::find(const std::string& name) const {
-  const auto it = functions_.find(name);
-  return it == functions_.end() ? nullptr : &it->second;
-}
-
-const FunctionSpec& FunctionRegistry::at(const std::string& name) const {
-  const auto it = functions_.find(name);
-  if (it == functions_.end())
+FunctionId FunctionRegistry::id(const std::string& name) const {
+  const auto it = ids_.find(name);
+  if (it == ids_.end())
     throw std::out_of_range("FunctionRegistry: unknown function " + name);
   return it->second;
 }
 
+const FunctionSpec* FunctionRegistry::find(const std::string& name) const {
+  const auto it = ids_.find(name);
+  return it == ids_.end() ? nullptr : &specs_[it->second.value()];
+}
+
+const FunctionSpec& FunctionRegistry::at(const std::string& name) const {
+  return specs_[id(name).value()];
+}
+
 std::vector<std::string> FunctionRegistry::names() const {
   std::vector<std::string> out;
-  out.reserve(functions_.size());
-  for (const auto& [name, _] : functions_) out.push_back(name);
+  out.reserve(specs_.size());
+  for (const FunctionSpec& spec : specs_) out.push_back(spec.name);
   return out;
 }
 

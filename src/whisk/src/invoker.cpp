@@ -224,9 +224,9 @@ void Invoker::begin_execution(mq::Message msg) {
     HW_OBS_IF(config_.obs) { c_dropped_->add(); }
     return;
   }
-  const FunctionSpec& spec = registry_.at(msg.key);
+  const FunctionSpec& spec = registry_.at(msg.function_id);
   const auto acquired =
-      pool_.acquire(spec.name, spec.kind, spec.memory_mb, sim_.now());
+      pool_.acquire(spec.id, spec.kind, spec.memory_mb, sim_.now());
   if (acquired.kind == runtime::AcquireResult::Kind::kRejected) {
     // Node-level container saturation: the invocation fails (the episode
     // of Sec. V-C where invokers hit the concurrent-container limit).
@@ -280,7 +280,7 @@ void Invoker::on_exec_event(ActivationId act) {
     pool_.mark_running(e.container, sim_.now());
     controller_.activation_started(act, id_, e.cold);
 
-    const FunctionSpec& fn = registry_.at(e.msg.key);
+    const FunctionSpec& fn = registry_.at(e.msg.function_id);
     sim::SimTime duration = fn.duration(rng_);
     if (config_.cpu_dilation && pool_.busy_containers() > config_.cores) {
       const double factor = static_cast<double>(pool_.busy_containers()) /
@@ -393,7 +393,7 @@ void Invoker::sigterm(std::function<void()> on_drained) {
   // 3. Interrupt running executions of interruptible functions.
   std::vector<ActivationId> to_interrupt;
   for (const auto& [act, exec] : running_) {
-    const FunctionSpec& fn = registry_.at(exec.msg.key);
+    const FunctionSpec& fn = registry_.at(exec.msg.function_id);
     if (fn.interruptible || exec.phase == ExecPhase::kStarting)
       to_interrupt.push_back(act);
   }

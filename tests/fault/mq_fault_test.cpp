@@ -19,7 +19,7 @@ using sim::Simulation;
 Message msg(std::uint64_t id) {
   Message m;
   m.id = id;
-  m.key = "fn";
+  m.function_id = sim::FunctionId{0};
   return m;
 }
 

@@ -11,10 +11,10 @@ namespace {
 
 using sim::SimTime;
 
-Message make(std::uint64_t id, const std::string& key = "fn") {
+Message make(std::uint64_t id, sim::FunctionId function = sim::FunctionId{0}) {
   Message m;
   m.id = id;
-  m.key = key;
+  m.function_id = function;
   return m;
 }
 
@@ -80,10 +80,10 @@ TEST(Topic, CountersTrackTraffic) {
 TEST(Topic, KeyAndNamePreserved) {
   Topic t{"invoker-3"};
   EXPECT_EQ(t.name(), "invoker-3");
-  t.publish(make(9, "pagerank"), SimTime::zero());
+  t.publish(make(9, sim::FunctionId{7}), SimTime::zero());
   const auto m = t.poll_one();
   ASSERT_TRUE(m);
-  EXPECT_EQ(m->key, "pagerank");
+  EXPECT_EQ(m->function_id, sim::FunctionId{7});
 }
 
 TEST(TopicWaiter, FiresOnceOnTheEmptyToNonEmptyTransition) {

@@ -8,6 +8,12 @@
 namespace hpcwhisk::sched {
 namespace {
 
+// Function ids as a FunctionRegistry would intern them.
+constexpr sim::FunctionId kFn{0};
+constexpr sim::FunctionId kGhost{1};
+constexpr sim::FunctionId kLong{2};
+constexpr sim::FunctionId kShort{3};
+
 using sim::SimTime;
 
 TEST(QuantileSketch, EmptyReturnsZeros) {
@@ -51,38 +57,38 @@ TEST(DurationEstimator, NeverSeenFallsBackToPrior) {
   EstimatorConfig cfg;
   cfg.prior = SimTime::millis(123);
   DurationEstimator est{cfg};
-  EXPECT_FALSE(est.seen("ghost"));
-  EXPECT_EQ(est.predict("ghost"), SimTime::millis(123));
-  EXPECT_EQ(est.predict_cold("ghost"), SimTime::millis(123));
-  EXPECT_EQ(est.predict_quantile("ghost", 0.95), SimTime::millis(123));
+  EXPECT_FALSE(est.seen(kGhost));
+  EXPECT_EQ(est.predict(kGhost), SimTime::millis(123));
+  EXPECT_EQ(est.predict_cold(kGhost), SimTime::millis(123));
+  EXPECT_EQ(est.predict_quantile(kGhost, 0.95), SimTime::millis(123));
   EXPECT_EQ(est.stats().prior_hits, 3u);
 }
 
 TEST(DurationEstimator, FirstObservationSeedsTheMean) {
   DurationEstimator est;
-  est.observe("fn", SimTime::millis(50), /*cold_start=*/false);
-  EXPECT_TRUE(est.seen("fn"));
-  EXPECT_EQ(est.predict("fn"), SimTime::millis(50));
+  est.observe(kFn, SimTime::millis(50), /*cold_start=*/false);
+  EXPECT_TRUE(est.seen(kFn));
+  EXPECT_EQ(est.predict(kFn), SimTime::millis(50));
   EXPECT_EQ(est.stats().prior_hits, 0u);
 }
 
 TEST(DurationEstimator, ConvergesToConstantDuration) {
   DurationEstimator est;
   for (int i = 0; i < 100; ++i) {
-    est.observe("fn", SimTime::millis(50), false);
+    est.observe(kFn, SimTime::millis(50), false);
   }
-  EXPECT_EQ(est.predict("fn"), SimTime::millis(50));
-  EXPECT_EQ(est.deviation("fn"), SimTime::zero());
-  EXPECT_EQ(est.observations("fn"), 100u);
+  EXPECT_EQ(est.predict(kFn), SimTime::millis(50));
+  EXPECT_EQ(est.deviation(kFn), SimTime::zero());
+  EXPECT_EQ(est.observations(kFn), 100u);
 }
 
 TEST(DurationEstimator, ConvergesAfterLevelShift) {
   // alpha = 0.25: after ~30 samples at the new level the EWMA is within
   // a tick of it — the model forgets a stale history quickly.
   DurationEstimator est;
-  for (int i = 0; i < 20; ++i) est.observe("fn", SimTime::millis(10), false);
-  for (int i = 0; i < 40; ++i) est.observe("fn", SimTime::millis(200), false);
-  const auto p = est.predict("fn");
+  for (int i = 0; i < 20; ++i) est.observe(kFn, SimTime::millis(10), false);
+  for (int i = 0; i < 40; ++i) est.observe(kFn, SimTime::millis(200), false);
+  const auto p = est.predict(kFn);
   EXPECT_GT(p, SimTime::millis(195));
   EXPECT_LE(p, SimTime::millis(200));
 }
@@ -90,11 +96,11 @@ TEST(DurationEstimator, ConvergesAfterLevelShift) {
 TEST(DurationEstimator, ColdAndWarmModelsAreSeparate) {
   DurationEstimator est;
   for (int i = 0; i < 20; ++i) {
-    est.observe("fn", SimTime::millis(10), /*cold_start=*/false);
-    est.observe("fn", SimTime::millis(300), /*cold_start=*/true);
+    est.observe(kFn, SimTime::millis(10), /*cold_start=*/false);
+    est.observe(kFn, SimTime::millis(300), /*cold_start=*/true);
   }
-  EXPECT_EQ(est.predict("fn"), SimTime::millis(10));
-  EXPECT_EQ(est.predict_cold("fn"), SimTime::millis(300));
+  EXPECT_EQ(est.predict(kFn), SimTime::millis(10));
+  EXPECT_EQ(est.predict_cold(kFn), SimTime::millis(300));
   EXPECT_EQ(est.stats().cold_observations, 20u);
   EXPECT_EQ(est.stats().observations, 40u);
 }
@@ -106,22 +112,22 @@ TEST(DurationEstimator, PredictionsAreDeterministicFolds) {
   for (int i = 1; i <= 50; ++i) {
     const auto d = SimTime::millis(10 + (i * 7) % 90);
     const bool cold = i % 5 == 0;
-    a.observe("fn", d, cold);
-    b.observe("fn", d, cold);
+    a.observe(kFn, d, cold);
+    b.observe(kFn, d, cold);
   }
-  EXPECT_EQ(a.predict("fn"), b.predict("fn"));
-  EXPECT_EQ(a.predict_cold("fn"), b.predict_cold("fn"));
-  EXPECT_EQ(a.predict_quantile("fn", 0.95), b.predict_quantile("fn", 0.95));
-  EXPECT_EQ(a.deviation("fn"), b.deviation("fn"));
+  EXPECT_EQ(a.predict(kFn), b.predict(kFn));
+  EXPECT_EQ(a.predict_cold(kFn), b.predict_cold(kFn));
+  EXPECT_EQ(a.predict_quantile(kFn, 0.95), b.predict_quantile(kFn, 0.95));
+  EXPECT_EQ(a.deviation(kFn), b.deviation(kFn));
 }
 
 TEST(DurationEstimator, TracksFunctionsIndependently) {
   DurationEstimator est;
-  est.observe("short", SimTime::millis(5), false);
-  est.observe("long", SimTime::seconds(30), false);
+  est.observe(kShort, SimTime::millis(5), false);
+  est.observe(kLong, SimTime::seconds(30), false);
   EXPECT_EQ(est.tracked_functions(), 2u);
-  EXPECT_EQ(est.predict("short"), SimTime::millis(5));
-  EXPECT_EQ(est.predict("long"), SimTime::seconds(30));
+  EXPECT_EQ(est.predict(kShort), SimTime::millis(5));
+  EXPECT_EQ(est.predict(kLong), SimTime::seconds(30));
 }
 
 TEST(DurationEstimator, PerWorkerOffMakesOverloadsDelegate) {
@@ -130,11 +136,11 @@ TEST(DurationEstimator, PerWorkerOffMakesOverloadsDelegate) {
   // golden hashes on this.
   DurationEstimator est;
   for (int i = 0; i < 10; ++i) {
-    est.observe("fn", SimTime::millis(40), false, /*worker=*/3);
+    est.observe(kFn, SimTime::millis(40), false, /*worker=*/3);
   }
-  EXPECT_EQ(est.predict("fn", 3), est.predict("fn"));
-  EXPECT_EQ(est.predict("fn", 9), est.predict("fn"));
-  EXPECT_EQ(est.predict_cold("fn", 3), est.predict_cold("fn"));
+  EXPECT_EQ(est.predict(kFn, 3), est.predict(kFn));
+  EXPECT_EQ(est.predict(kFn, 9), est.predict(kFn));
+  EXPECT_EQ(est.predict_cold(kFn, 3), est.predict_cold(kFn));
 }
 
 TEST(DurationEstimator, PerWorkerModelCapturesNodeHeterogeneity) {
@@ -144,15 +150,15 @@ TEST(DurationEstimator, PerWorkerModelCapturesNodeHeterogeneity) {
   // The same function runs 10 ms on worker 0 and 80 ms on the dilated
   // worker 1 (CPU oversubscription).
   for (int i = 0; i < 20; ++i) {
-    est.observe("fn", SimTime::millis(10), false, 0);
-    est.observe("fn", SimTime::millis(80), false, 1);
+    est.observe(kFn, SimTime::millis(10), false, 0);
+    est.observe(kFn, SimTime::millis(80), false, 1);
   }
-  EXPECT_EQ(est.predict("fn", 0), SimTime::millis(10));
-  EXPECT_EQ(est.predict("fn", 1), SimTime::millis(80));
+  EXPECT_EQ(est.predict(kFn, 0), SimTime::millis(10));
+  EXPECT_EQ(est.predict(kFn, 1), SimTime::millis(80));
   // The global model blends both; a worker without history answers from it.
-  EXPECT_EQ(est.predict("fn", 7), est.predict("fn"));
-  EXPECT_GT(est.predict("fn"), SimTime::millis(10));
-  EXPECT_LT(est.predict("fn"), SimTime::millis(80));
+  EXPECT_EQ(est.predict(kFn, 7), est.predict(kFn));
+  EXPECT_GT(est.predict(kFn), SimTime::millis(10));
+  EXPECT_LT(est.predict(kFn), SimTime::millis(80));
 }
 
 TEST(DurationEstimator, PerWorkerColdModelIsSeparateToo) {
@@ -160,23 +166,23 @@ TEST(DurationEstimator, PerWorkerColdModelIsSeparateToo) {
   cfg.per_worker = true;
   DurationEstimator est{cfg};
   for (int i = 0; i < 10; ++i) {
-    est.observe("fn", SimTime::millis(10), /*cold_start=*/false, 0);
-    est.observe("fn", SimTime::millis(400), /*cold_start=*/true, 0);
+    est.observe(kFn, SimTime::millis(10), /*cold_start=*/false, 0);
+    est.observe(kFn, SimTime::millis(400), /*cold_start=*/true, 0);
   }
-  EXPECT_EQ(est.predict("fn", 0), SimTime::millis(10));
-  EXPECT_EQ(est.predict_cold("fn", 0), SimTime::millis(400));
+  EXPECT_EQ(est.predict(kFn, 0), SimTime::millis(10));
+  EXPECT_EQ(est.predict_cold(kFn, 0), SimTime::millis(400));
 }
 
 TEST(DurationEstimator, AnyWorkerSentinelNeverPopulatesPerWorker) {
   EstimatorConfig cfg;
   cfg.per_worker = true;
   DurationEstimator est{cfg};
-  est.observe("fn", SimTime::millis(10), false, DurationEstimator::kAnyWorker);
-  est.observe("fn", SimTime::millis(10), false);  // 3-arg == kAnyWorker
+  est.observe(kFn, SimTime::millis(10), false, DurationEstimator::kAnyWorker);
+  est.observe(kFn, SimTime::millis(10), false);  // 3-arg == kAnyWorker
   // Lookups through the sentinel (and unknown workers) hit the global model.
-  EXPECT_EQ(est.predict("fn", DurationEstimator::kAnyWorker),
-            est.predict("fn"));
-  EXPECT_EQ(est.predict("fn", 0), est.predict("fn"));
+  EXPECT_EQ(est.predict(kFn, DurationEstimator::kAnyWorker),
+            est.predict(kFn));
+  EXPECT_EQ(est.predict(kFn, 0), est.predict(kFn));
 }
 
 }  // namespace

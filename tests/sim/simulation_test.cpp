@@ -220,5 +220,22 @@ TEST(SimulationGrid, BirthRanksMatchSimulatedLoopsSharingAPhase) {
   EXPECT_EQ(grids, loops);
 }
 
+TEST(SimulationReserve, ReservedEventFiresWhereAnArmAtReservationWould) {
+  Simulation sim;
+  std::string order;
+  sim.at(SimTime::seconds(5), [&] { order += 'a'; });  // armed before
+  const Simulation::Reservation r = sim.reserve();
+  sim.at(SimTime::seconds(5), [&] { order += 'c'; });  // same instant, after
+  sim.run_until(SimTime::seconds(1));
+  sim.at(SimTime::seconds(5), [&] { order += 'd'; });  // a later instant
+  sim.run_until(SimTime::seconds(2));
+  sim.at_reserved(SimTime::seconds(5), r, [&] { order += 'b'; });
+  sim.run();
+  EXPECT_EQ(order, "abcd");
+  EXPECT_THROW(sim.at_reserved(SimTime::seconds(4), sim.reserve(),
+                               [&] { order += 'x'; }),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace hpcwhisk::sim

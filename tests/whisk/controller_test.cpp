@@ -141,7 +141,7 @@ TEST(Controller, RequeueDropsTerminalActivations) {
   f.controller.activation_completed(result.activation);
   mq::Message msg;
   msg.id = result.activation;
-  msg.key = "fn";
+  msg.function_id = f.registry.id("fn");
   f.controller.requeue_to_fast_lane(msg);
   EXPECT_TRUE(f.broker.fast_lane().empty());
 }

@@ -40,6 +40,43 @@ TEST(FunctionRegistry, NamesListsAll) {
   EXPECT_EQ(reg.names().size(), 2u);
 }
 
+TEST(FunctionRegistry, IdsAreDenseInRegistrationOrder) {
+  FunctionRegistry reg;
+  const FunctionId a = reg.put(fixed_duration_function("a", sim::SimTime::millis(5)));
+  const FunctionId c = reg.put(fixed_duration_function("c", sim::SimTime::millis(5)));
+  const FunctionId b = reg.put(fixed_duration_function("b", sim::SimTime::millis(5)));
+  EXPECT_EQ(a, FunctionId{0});
+  EXPECT_EQ(c, FunctionId{1});
+  EXPECT_EQ(b, FunctionId{2});
+  EXPECT_EQ(reg.id("c"), c);
+  EXPECT_EQ(reg.at(b).name, "b");
+  EXPECT_EQ(reg.at("b").id, b) << "put stamps the id into the stored spec";
+  EXPECT_EQ(reg.names(), (std::vector<std::string>{"a", "c", "b"}));
+}
+
+TEST(FunctionRegistry, RePutKeepsTheId) {
+  FunctionRegistry reg;
+  const FunctionId a = reg.put(fixed_duration_function("a", sim::SimTime::millis(5), 128));
+  (void)reg.put(fixed_duration_function("b", sim::SimTime::millis(5)));
+  EXPECT_EQ(reg.put(fixed_duration_function("a", sim::SimTime::millis(5), 512)), a);
+  EXPECT_EQ(reg.at(a).memory_mb, 512);
+  EXPECT_EQ(reg.at(a).id, a);
+  EXPECT_EQ(reg.size(), 2u);
+}
+
+TEST(FunctionRegistry, UnknownNameThrows) {
+  FunctionRegistry reg;
+  (void)reg.put(fixed_duration_function("a", sim::SimTime::millis(5)));
+  EXPECT_THROW((void)reg.id("b"), std::out_of_range);
+}
+
+TEST(FunctionRegistry, HashIsTheNameHashComputedAtRegistration) {
+  FunctionRegistry reg;
+  const FunctionId id =
+      reg.put(fixed_duration_function("pagerank", sim::SimTime::millis(5)));
+  EXPECT_EQ(reg.hash(id), function_hash("pagerank"));
+}
+
 TEST(FunctionHash, DeterministicAndSpread) {
   EXPECT_EQ(function_hash("pagerank"), function_hash("pagerank"));
   EXPECT_NE(function_hash("pagerank"), function_hash("bfs"));

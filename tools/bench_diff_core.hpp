@@ -10,7 +10,7 @@
 //    bench::write_meta_header — same schema_version AND same bench name,
 //    otherwise the diff is refused (kSchemaMismatch, exit 2 in the CLI);
 //  * each built-in rule names a bench, a path glob ('*' matches any run
-//    of characters, so "modes.*.p95_ms" and "experiments[*].events_per_sec"
+//    of characters, so "modes.*.p95_ms" and "experiments[*].wall_s"
 //    both work), a direction and a tolerance; a metric regresses when it
 //    moves against its direction by more than max(rel_tol * |baseline|,
 //    abs_tol), disappears from the candidate, or changes JSON type;
@@ -331,8 +331,8 @@ inline const std::vector<Rule>& default_rules() {
       {"obs_report", "harvest.efficiency", Direction::kHigherBetter, 0, 0.05},
       // perf_report: event counts and allocations are deterministic;
       // wall-clock time is not. Cost is gated per run, not per event:
-      // idle invokers are not simulated tick by tick, so events/s and
-      // allocs/event no longer track the work done. The parallel sweep
+      // idle invokers are not simulated tick by tick, so per-event rates
+      // do not track the work done (the report carries none). The sweep
       // speedup is gated only between multi-threaded hosts.
       {"perf_report", "sweep.outputs_identical", Direction::kRequireTrue},
       {"perf_report", "alloc_probe", Direction::kRequireTrue},
